@@ -132,6 +132,16 @@ func main() {
 		tracer = obs.NewTracer("suite", obs.NewNDJSON(f))
 		ctx = obs.WithTracer(ctx, tracer)
 	}
+	// Hold every workload's trace plan for the whole run: each trace is
+	// generated once even when no two experiments overlap (-parallel 1).
+	// Holding is free for workloads no selected experiment simulates.
+	for _, spec := range runner.Workloads() {
+		release, err := runner.AcquireTracePlan(ctx, spec.Name)
+		if err != nil {
+			fatal(err)
+		}
+		defer release()
+	}
 	outcomes, err := exec.Map(ctx, *parallel, len(selected), func(i int) (outcome, error) {
 		start := time.Now()
 		table, err := selected[i].Run(ctx)
@@ -166,6 +176,9 @@ func main() {
 	cs := runner.CacheStats()
 	fmt.Printf("memo cache: %d hits, %d misses (each miss is one simulation or fault study actually run)\n",
 		cs.Hits, cs.Misses)
+	ts := runner.TraceStats()
+	fmt.Printf("trace plans: %d traces generated, %d simulations replayed them\n",
+		ts.Opens, ts.CoalesceHits)
 	if tracer != nil {
 		if d := tracer.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr, "experiments: warning: %d spans dropped writing %s\n", d, *traceOut)

@@ -317,14 +317,27 @@ func NewEngine(opts *Options) (*Engine, error) {
 // canonical form the service digests for its result-cache keys.
 func (e *Engine) Options() Options { return e.r.Options() }
 
-// Evaluate runs one workload under one policy on the shared runner.
+// Evaluate runs one workload under one policy on the shared runner. The
+// request holds the workload's trace plan, so its profiling run and policy
+// run share one trace generation.
 func (e *Engine) Evaluate(ctx context.Context, workloadName string, policy PolicyName) (Result, error) {
+	release, err := e.r.AcquireTracePlan(ctx, workloadName)
+	if err != nil {
+		return Result{}, err
+	}
+	defer release()
 	return evaluate(ctx, e.r, workloadName, policy)
 }
 
 // Compare evaluates several policies on one workload concurrently, sharing
-// the profiling run and every memoized simulation.
+// the profiling run and every memoized simulation. The request holds the
+// workload's trace plan, so K policies cost one trace generation.
 func (e *Engine) Compare(ctx context.Context, workloadName string, policies []PolicyName) ([]Result, error) {
+	release, err := e.r.AcquireTracePlan(ctx, workloadName)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
 	// Profile once up front so the concurrent evaluations share the warm
 	// memo instead of all blocking on the same singleflight leader.
 	spec, err := workload.SpecByName(workloadName)
@@ -369,22 +382,23 @@ func (e *Engine) RunExperiment(ctx context.Context, id string) (*report.Table, e
 // simulation work requests have shared so far.
 func (e *Engine) CacheStats() exec.MemoStats { return e.r.CacheStats() }
 
-// AcquireTracePlan pins a materialized trace replay plan for a workload and
-// returns its release: while held, every evaluation of that workload on
-// this engine replays one collected trace instead of regenerating it per
-// simulation — the plan-coalescing primitive behind the hmemd batch
-// endpoint. Results are byte-identical to uncoalesced evaluation (the
-// generators are pure functions of the seed). Release is idempotent; the
-// records are dropped when the last holder releases. No-op (still returning
-// a valid release) when a cluster delegate is installed, because batch
-// items shard independently across workers.
+// AcquireTracePlan holds a trace replay plan for a workload and returns
+// its release: while held, the first evaluation of that workload on this
+// engine generates its trace once and every evaluation replays the
+// collected records instead of regenerating them per simulation — the
+// primitive behind Evaluate, Compare and the hmemd batch endpoint. Holding
+// is free until a simulation needs the trace. Results are byte-identical
+// to unheld evaluation (the generators are pure functions of the seed).
+// Release is idempotent; the records are dropped when the last holder
+// releases. No-op (still returning a valid release) when a cluster
+// delegate is installed, because simulations shard independently across
+// workers.
 func (e *Engine) AcquireTracePlan(ctx context.Context, workloadName string) (release func(), err error) {
 	return e.r.AcquireTracePlan(ctx, workloadName)
 }
 
 // TraceStats reports the engine's trace-delivery counters: generator runs
-// (opens) versus simulations served a replay view from an active coalescing
-// plan (hits).
+// (opens) versus simulations served a replay view from a held plan (hits).
 func (e *Engine) TraceStats() experiments.TraceStats { return e.r.TraceStats() }
 
 // SetTraceWrap installs a wrapper over every trace stream a simulation on

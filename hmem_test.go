@@ -2,7 +2,10 @@ package hmem
 
 import (
 	"context"
+	"reflect"
 	"testing"
+
+	"hmem/internal/experiments"
 )
 
 func quickOpts() *Options {
@@ -102,5 +105,64 @@ func TestEvaluateDeterministic(t *testing.T) {
 	}
 	if a.IPC != b.IPC || a.SERvsDDROnly != b.SERvsDDROnly {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestEngineRequestsHoldOneTracePlan checks that Evaluate and Compare hold
+// their workload's trace plan for the request: an evaluation (profiling
+// run + policy run) and a three-policy Compare each generate the trace
+// once, where a runner holding no plan generates it per simulation, and
+// the results are identical.
+func TestEngineRequestsHoldOneTracePlan(t *testing.T) {
+	opts := Options{RecordsPerCore: 1500, FaultTrials: 1500}
+	ctx := context.Background()
+	unheld := func(workloadName string, policies []PolicyName) []Result {
+		r, err := experiments.NewRunner(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []Result
+		for _, p := range policies {
+			res, err := evaluate(ctx, r, workloadName, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		if st := r.TraceStats(); st.Opens != uint64(1+len(policies)) {
+			t.Fatalf("unheld runner generated %d traces, want %d (one per simulation)", st.Opens, 1+len(policies))
+		}
+		return out
+	}
+
+	e, err := NewEngine(&opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Evaluate(ctx, "astar", PolicyBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.TraceStats(); st.Opens != 1 {
+		t.Fatalf("Evaluate generated %d traces, want 1", st.Opens)
+	}
+	if want := unheld("astar", []PolicyName{PolicyBalanced}); !reflect.DeepEqual([]Result{got}, want) {
+		t.Fatalf("held Evaluate = %+v, unheld = %+v", got, want[0])
+	}
+
+	policies := []PolicyName{PolicyPerfFocused, PolicyWr2Ratio, PolicyFCMigration}
+	e, err = NewEngine(&opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := e.Compare(ctx, "mcf", policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.TraceStats(); st.Opens != 1 {
+		t.Fatalf("Compare of %d policies generated %d traces, want 1", len(policies), st.Opens)
+	}
+	if want := unheld("mcf", policies); !reflect.DeepEqual(results, want) {
+		t.Fatalf("held Compare = %+v, unheld = %+v", results, want)
 	}
 }

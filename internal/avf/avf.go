@@ -28,7 +28,8 @@
 package avf
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 
 	"hmem/internal/trace"
@@ -225,7 +226,7 @@ func (t *Tracker) Snapshot(totalCycles int64, ids []uint64) []PageAVF {
 		}
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Page < out[j].Page })
+	slices.SortFunc(out, func(a, b PageAVF) int { return cmp.Compare(a.Page, b.Page) })
 	return out
 }
 

@@ -14,36 +14,61 @@ type Named struct {
 	Run func(ctx context.Context) (*report.Table, error)
 }
 
-// All returns every table and figure driver in paper order.
+// driver is one table or figure driver as a method expression, so the list
+// below is built once and All() allocates only its per-runner closures.
+type driver struct {
+	id  string
+	run func(*Runner, context.Context) (*report.Table, error)
+}
+
+// staticTable adapts a driver that needs no simulation.
+func staticTable(table func(*Runner) *report.Table) func(*Runner, context.Context) (*report.Table, error) {
+	return func(r *Runner, _ context.Context) (*report.Table, error) { return table(r), nil }
+}
+
+// drivers lists every table and figure driver in paper order.
+var drivers = []driver{
+	{"table1", staticTable((*Runner).Table1)},
+	{"table2", staticTable((*Runner).Table2)},
+	{"figure1", (*Runner).Figure1},
+	{"figure2", (*Runner).Figure2},
+	{"figure4", (*Runner).Figure4},
+	{"figure5", (*Runner).Figure5},
+	{"figure6", (*Runner).Figure6},
+	{"figure7", (*Runner).Figure7},
+	{"figure8", (*Runner).Figure8},
+	{"figure9", (*Runner).Figure9},
+	{"figure10", (*Runner).Figure10},
+	{"figure11", (*Runner).Figure11},
+	{"figure12", (*Runner).Figure12},
+	{"figure13", (*Runner).Figure13},
+	{"figure14", (*Runner).Figure14},
+	{"figure15", (*Runner).Figure15},
+	{"figure16", (*Runner).Figure16},
+	{"figure17", (*Runner).Figure17},
+	{"table3", (*Runner).Table3},
+	{"hwcost", staticTable((*Runner).TableHardwareCost)},
+	{"ablation-cc", (*Runner).AblationCC},
+	{"extension-annotated-migration", (*Runner).ExtensionAnnotatedMigration},
+	{"extension-tiered-endurance", (*Runner).ExtensionTieredEndurance},
+}
+
+// All returns every table and figure driver in paper order. Each Run holds
+// a trace plan for every one of the runner's workloads for the driver's
+// duration (see coalesce.go), so drivers running side by side — the
+// experiments CLI, hmemd jobs — generate each workload's trace once
+// between them instead of once per simulation. Holding is free for a
+// driver whose simulations are all memo hits.
 func (r *Runner) All() []Named {
-	wrap := func(t *report.Table) func(context.Context) (*report.Table, error) {
-		return func(context.Context) (*report.Table, error) { return t, nil }
+	all := make([]Named, len(drivers))
+	for i, d := range drivers {
+		run := d.run
+		all[i] = Named{ID: d.id, Run: func(ctx context.Context) (*report.Table, error) {
+			defer r.holdPlans(r.specs)()
+			return run(r, ctx)
+		}}
 	}
-	return []Named{
-		{"table1", wrap(r.Table1())},
-		{"table2", wrap(r.Table2())},
-		{"figure1", r.Figure1},
-		{"figure2", r.Figure2},
-		{"figure4", r.Figure4},
-		{"figure5", r.Figure5},
-		{"figure6", r.Figure6},
-		{"figure7", r.Figure7},
-		{"figure8", r.Figure8},
-		{"figure9", r.Figure9},
-		{"figure10", r.Figure10},
-		{"figure11", r.Figure11},
-		{"figure12", r.Figure12},
-		{"figure13", r.Figure13},
-		{"figure14", r.Figure14},
-		{"figure15", r.Figure15},
-		{"figure16", r.Figure16},
-		{"figure17", r.Figure17},
-		{"table3", r.Table3},
-		{"hwcost", wrap(r.TableHardwareCost())},
-		{"ablation-cc", r.AblationCC},
-		{"extension-annotated-migration", r.ExtensionAnnotatedMigration},
-		{"extension-tiered-endurance", r.ExtensionTieredEndurance},
-	}
+	return all
 }
 
 // ByID returns the named experiment, or false when unknown.

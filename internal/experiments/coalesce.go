@@ -1,19 +1,20 @@
 package experiments
 
-// Plan-level trace coalescing: N evaluations that share a workload but
-// differ in policy normally pay N trace generations, one per simulation,
-// because streams are consumed. A TracePlan materializes the workload's
-// per-core record slices once and, while at least one holder keeps it
-// acquired, every simulation of that workload replays a zero-copy
-// SliceStream view instead of regenerating — the batch endpoint's
-// one-trace-pass-drives-all-policies optimization. Plans are refcounted and
-// plan-scoped (dropped when the last holder releases), so coalescing never
-// grows the process's steady-state footprint the way memoizing traces
-// would.
+// Trace plans: N simulations of one workload normally pay N trace
+// generations, because streams are consumed. A trace plan is a refcounted
+// hold on a workload's trace: while at least one holder keeps it, the first
+// simulation of that workload generates the per-core record slices once
+// (singleflight) and every simulation — that one included — replays a
+// zero-copy SliceStream view instead of regenerating. Holding is free: a
+// hold whose simulations are all memo hits generates nothing. Plans are
+// scoped to a unit of work — a figure driver run through All(), an Engine
+// Evaluate/Compare request, a /v1/batch request — and dropped when the last
+// holder releases, so they never grow the process's steady-state footprint
+// the way memoizing traces would.
 //
 // Generators are pure functions of (spec, recordsPerCore, seed), so the
 // collected records are bit-identical to what a fresh generator would emit;
-// results computed through a plan are byte-identical to uncoalesced runs.
+// results computed through a plan are byte-identical to unheld runs.
 
 import (
 	"context"
@@ -26,8 +27,8 @@ import (
 
 // TraceStats counts trace deliveries: Opens is how many times a workload's
 // generators were actually run (plan materializations included), and
-// CoalesceHits is how many simulations were served a replay view from an
-// active plan instead. Exported on /metrics as hmemd_trace_opens_total /
+// CoalesceHits is how many simulations were served a replay view from a
+// held plan instead. Exported on /metrics as hmemd_trace_opens_total /
 // hmemd_coalesce_hits_total.
 type TraceStats struct {
 	Opens        uint64
@@ -41,17 +42,19 @@ func (s TraceStats) Add(o TraceStats) TraceStats {
 
 // suiteView is what a simulation consumes from a workload build: the merged
 // structure table plus one consumable stream per core. Fresh builds hand
-// through the suite's generators; an active plan hands out SliceStream
-// replay views over the materialized records.
+// through the suite's generators; a held plan hands out SliceStream replay
+// views over the materialized records.
 type suiteView struct {
 	structures []workload.Structure
 	streams    []trace.Stream
 }
 
-// tracePlan is one refcounted materialization of a workload's traces.
+// tracePlan is one refcounted hold on a workload's trace. The records are
+// materialized by the first consumer (once guards it; concurrent consumers
+// wait on the same generation).
 type tracePlan struct {
-	refs       int
-	ready      chan struct{} // closed once records/err are final
+	refs       int // guarded by Runner.plansMu
+	once       sync.Once
 	records    [][]trace.Record
 	structures []workload.Structure
 	err        error
@@ -95,106 +98,95 @@ func (r *Runner) wrapStreams(workloadName string, v *suiteView) *suiteView {
 	return v
 }
 
-// AcquireTracePlan pins a materialized replay plan for a workload and
-// returns its release. While held, every simulation of that workload on
-// this runner replays the plan's records instead of regenerating the trace
-// — K policies cost one trace pass. Acquisitions nest (refcounted); release
-// is idempotent and drops the records once the last holder lets go.
+// AcquireTracePlan holds a replay plan for a workload and returns its
+// release. While held, the workload's trace is generated at most once on
+// this runner and every simulation of it replays the plan's records — K
+// policies cost one trace pass. Acquiring only registers the hold, so it
+// never blocks and the context is not consulted; nothing is generated
+// until a simulation needs the trace. Acquisitions nest (refcounted);
+// release is idempotent and drops the records once the last holder lets go.
 //
-// With a cluster delegate installed this is a no-op: batch items shard
+// With a cluster delegate installed this is a no-op: simulations shard
 // independently across workers, so a local materialization would cost
 // memory without saving any replay.
-func (r *Runner) AcquireTracePlan(ctx context.Context, workloadName string) (release func(), err error) {
+func (r *Runner) AcquireTracePlan(_ context.Context, workloadName string) (release func(), err error) {
 	spec, err := workload.SpecByName(workloadName)
 	if err != nil {
 		return nil, err
 	}
+	return r.holdPlans([]workload.Spec{spec}), nil
+}
+
+// holdPlans acquires a plan for each spec in one step and returns the
+// idempotent release of all of them (a no-op under a cluster delegate).
+func (r *Runner) holdPlans(specs []workload.Spec) (release func()) {
 	if r.getDelegate() != nil {
-		return func() {}, nil
+		return func() {}
 	}
+	plans := make([]*tracePlan, len(specs))
 	r.plansMu.Lock()
 	if r.plans == nil {
 		r.plans = make(map[string]*tracePlan)
 	}
-	p, ok := r.plans[spec.Name]
-	if ok {
+	for i, spec := range specs {
+		p := r.plans[spec.Name]
+		if p == nil {
+			p = &tracePlan{}
+			r.plans[spec.Name] = p
+		}
 		p.refs++
-		r.plansMu.Unlock()
-	} else {
-		p = &tracePlan{refs: 1, ready: make(chan struct{})}
-		r.plans[spec.Name] = p
-		r.plansMu.Unlock()
-		r.materializePlan(ctx, spec, p)
+		plans[i] = p
 	}
-	select {
-	case <-p.ready:
-	case <-ctx.Done():
-		r.releasePlan(spec.Name, p)
-		return nil, ctx.Err()
-	}
-	if p.err != nil {
-		err := p.err
-		r.releasePlan(spec.Name, p)
-		return nil, err
-	}
+	r.plansMu.Unlock()
 	var once sync.Once
-	return func() { once.Do(func() { r.releasePlan(spec.Name, p) }) }, nil
+	return func() {
+		once.Do(func() {
+			r.plansMu.Lock()
+			defer r.plansMu.Unlock()
+			for i, p := range plans {
+				p.refs--
+				if name := specs[i].Name; p.refs == 0 && r.plans[name] == p {
+					delete(r.plans, name)
+				}
+			}
+		})
+	}
 }
 
-// materializePlan runs the workload's generators once and collects every
-// core's records into the plan. Counts as one trace open; subsequent
-// consumers are coalesce hits.
-func (r *Runner) materializePlan(ctx context.Context, spec workload.Spec, p *tracePlan) {
-	defer close(p.ready)
-	if obs.Enabled(ctx) {
-		_, sp := obs.Start(ctx, "trace.plan",
-			obs.Str("workload", spec.Name), obs.Int("records_per_core", int64(r.opts.RecordsPerCore)))
-		defer sp.End()
-	}
-	suite, err := spec.Build(r.opts.RecordsPerCore, r.opts.Seed)
-	if err != nil {
-		p.err = err
-		return
-	}
-	r.traceOpens.Add(1)
-	records := make([][]trace.Record, len(suite.Generators))
-	for i, g := range suite.Generators {
-		if records[i], err = trace.Collect(g, 0); err != nil {
+// heldPlan returns the workload's plan while any holder keeps it, or nil.
+func (r *Runner) heldPlan(name string) *tracePlan {
+	r.plansMu.Lock()
+	defer r.plansMu.Unlock()
+	return r.plans[name]
+}
+
+// materialize generates the plan's records on first use; every caller,
+// concurrent ones included, returns once they are final. The generation
+// counts as one trace open.
+func (p *tracePlan) materialize(ctx context.Context, r *Runner, spec workload.Spec) error {
+	p.once.Do(func() {
+		if obs.Enabled(ctx) {
+			_, sp := obs.Start(ctx, "trace.plan",
+				obs.Str("workload", spec.Name), obs.Int("records_per_core", int64(r.opts.RecordsPerCore)))
+			defer sp.End()
+		}
+		suite, err := spec.Build(r.opts.RecordsPerCore, r.opts.Seed)
+		if err != nil {
 			p.err = err
 			return
 		}
-	}
-	p.records = records
-	p.structures = suite.Structures
-}
-
-// releasePlan drops one reference; the last one retires the plan so its
-// records become garbage.
-func (r *Runner) releasePlan(name string, p *tracePlan) {
-	r.plansMu.Lock()
-	defer r.plansMu.Unlock()
-	p.refs--
-	if p.refs <= 0 && r.plans[name] == p {
-		delete(r.plans, name)
-	}
-}
-
-// activePlan returns the workload's materialized plan, or nil when none is
-// held (or it is still materializing / failed — callers then build fresh).
-func (r *Runner) activePlan(name string) *tracePlan {
-	r.plansMu.Lock()
-	p := r.plans[name]
-	r.plansMu.Unlock()
-	if p == nil {
-		return nil
-	}
-	select {
-	case <-p.ready:
-		if p.err != nil {
-			return nil
+		r.traceOpens.Add(1)
+		records := make([][]trace.Record, len(suite.Generators))
+		for i, g := range suite.Generators {
+			// Generators emit exactly RecordsPerCore records, so the bound
+			// sizes each slice exactly: a held plan costs no growth slack.
+			if records[i], err = trace.Collect(g, r.opts.RecordsPerCore); err != nil {
+				p.err = err
+				return
+			}
 		}
-		return p
-	default:
-		return nil
-	}
+		p.records = records
+		p.structures = suite.Structures
+	})
+	return p.err
 }

@@ -3,11 +3,16 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hmem/internal/core"
+	"hmem/internal/exec"
 	"hmem/internal/trace"
 	"hmem/internal/workload"
 )
@@ -80,11 +85,16 @@ func TestTracePlanCoalesces(t *testing.T) {
 	}
 }
 
-// TestTracePlanNestedAcquire checks refcounting: a plan stays live until the
-// last holder releases.
+// TestTracePlanNestedAcquire checks lazy, refcounted plans: a hold
+// generates nothing, the first consumer generates once, both holders share
+// that one plan, and it stays live until the last holder releases.
 func TestTracePlanNestedAcquire(t *testing.T) {
 	r := mustRunner(t, tinyCoalesceOpts())
 	ctx := context.Background()
+	spec, err := workload.SpecByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rel1, err := r.AcquireTracePlan(ctx, "mcf")
 	if err != nil {
 		t.Fatal(err)
@@ -93,16 +103,32 @@ func TestTracePlanNestedAcquire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := r.TraceStats(); st.Opens != 0 {
+		t.Fatalf("holding generated %d traces, want 0 before any consumer", st.Opens)
+	}
+	shared := r.heldPlan("mcf")
+	if shared == nil {
+		t.Fatal("no plan registered after two acquires")
+	}
+	if _, err := r.buildSuite(spec); err != nil {
+		t.Fatal(err)
+	}
 	if st := r.TraceStats(); st.Opens != 1 {
-		t.Fatalf("nested acquire materialized %d times, want 1", st.Opens)
+		t.Fatalf("first consumer generated %d traces, want 1", st.Opens)
 	}
 	rel1()
-	if r.activePlan("mcf") == nil {
+	if r.heldPlan("mcf") != shared {
 		t.Fatal("plan retired while still held by the second acquirer")
 	}
+	if _, err := r.buildSuite(spec); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.TraceStats(); st.Opens != 1 || st.CoalesceHits != 2 {
+		t.Fatalf("after the second consumer: %+v, want 1 open and 2 coalesce hits", st)
+	}
 	rel2()
-	if r.activePlan("mcf") != nil {
-		t.Fatal("plan still active after the last release")
+	if r.heldPlan("mcf") != nil {
+		t.Fatal("plan still held after the last release")
 	}
 }
 
@@ -171,5 +197,146 @@ func TestCoalescedReplayZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("coalesced replay allocates %.1f per full pass, want 0", allocs)
+	}
+}
+
+// planHolders reports how many holds the workload's plan has (0 when none).
+func (r *Runner) planHolders(name string) int {
+	r.plansMu.Lock()
+	defer r.plansMu.Unlock()
+	if p := r.plans[name]; p != nil {
+		return p.refs
+	}
+	return 0
+}
+
+// TestTracePlanConcurrentFirstConsumers races many first consumers of one
+// held plan: exactly one generates, every consumer replays the same
+// records, and the replays match a fresh generator's output.
+func TestTracePlanConcurrentFirstConsumers(t *testing.T) {
+	r := mustRunner(t, tinyCoalesceOpts())
+	spec, err := workload.SpecByName("mix1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, err := r.AcquireTracePlan(context.Background(), spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+
+	const consumers = 8
+	views := make([][][]trace.Record, consumers)
+	var wg sync.WaitGroup
+	for i := 0; i < consumers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, err := r.buildSuite(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, s := range v.streams {
+				recs, err := trace.Collect(s, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				views[i] = append(views[i], recs)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if st := r.TraceStats(); st.Opens != 1 || st.CoalesceHits != consumers {
+		t.Fatalf("trace stats = %+v, want 1 open and %d coalesce hits", st, consumers)
+	}
+	fresh, err := mustRunner(t, tinyCoalesceOpts()).buildSuite(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]trace.Record
+	for _, s := range fresh.streams {
+		recs, err := trace.Collect(s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, recs)
+	}
+	for i, got := range views {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("consumer %d replayed records that differ from a fresh generation", i)
+		}
+	}
+}
+
+// TestAllGeneratesEachTraceOnce runs every driver of All() side by side, as
+// the experiments CLI does, and checks the pass generates each workload's
+// trace exactly once. Its tables must be byte-identical to the unwrapped
+// drivers run serially on a runner that holds no plan.
+func TestAllGeneratesEachTraceOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full suite twice")
+	}
+	opts := Options{RecordsPerCore: 400, FaultTrials: 1000, Parallel: 2}
+	ctx := context.Background()
+	r := mustRunner(t, opts)
+	all := r.All()
+
+	// A plan is retired once its last holder releases, so a driver that
+	// only starts after every earlier holder finished would regenerate.
+	// Gate every trace consumption until all drivers hold their plans —
+	// the overlap a shared worker pool gives a real suite run — so the
+	// count below is exact rather than scheduling-dependent.
+	var entered, finished atomic.Int64
+	gate := make(chan struct{})
+	r.SetTraceWrap(func(_ string, s trace.Stream) trace.Stream {
+		<-gate
+		return s
+	})
+	first := r.Workloads()[0].Name
+	go func() {
+		defer close(gate)
+		deadline := time.Now().Add(time.Minute)
+		for entered.Load() < int64(len(all)) ||
+			int64(r.planHolders(first)) != entered.Load()-finished.Load() {
+			if time.Now().After(deadline) {
+				t.Error("drivers never all held their trace plans")
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	held, err := exec.Map(ctx, len(all), len(all), func(i int) (string, error) {
+		entered.Add(1)
+		defer finished.Add(1)
+		tab, err := all[i].Run(ctx)
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", all[i].ID, err)
+		}
+		return tab.String(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, n := r.TraceStats(), len(r.Workloads()); st.Opens != uint64(n) {
+		t.Fatalf("suite pass generated %d traces, want one per workload (%d); stats %+v", st.Opens, n, st)
+	}
+	if r.planHolders(first) != 0 {
+		t.Fatal("plans still held after every driver returned")
+	}
+
+	plain := mustRunner(t, opts)
+	for i, d := range drivers {
+		tab, err := d.run(plain, ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", d.id, err)
+		}
+		if got := tab.String(); got != held[i] {
+			t.Fatalf("%s: tables differ between held and unheld runs:\n--- held ---\n%s\n--- unheld ---\n%s", d.id, held[i], got)
+		}
+	}
+	if st := plain.TraceStats(); st.CoalesceHits != 0 {
+		t.Fatalf("unwrapped drivers were served %d coalesce hits, want 0", st.CoalesceHits)
 	}
 }

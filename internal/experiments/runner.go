@@ -92,8 +92,8 @@ type Runner struct {
 	profiles exec.Memo[string, *Profile]
 	runs     exec.Memo[string, sim.Result]
 
-	// plans holds the active trace-coalescing plans by workload name;
-	// counters and the wrap seam live in coalesce.go.
+	// plans holds the held trace plans by workload name; counters and the
+	// wrap seam live in coalesce.go.
 	plansMu sync.Mutex
 	plans   map[string]*tracePlan
 
@@ -282,8 +282,8 @@ func (r *Runner) CacheStats() exec.MemoStats {
 
 // buildSuite constructs the trace view a simulation consumes: fresh
 // generators normally (streams are consumed, so every simulation needs its
-// own), or zero-copy replay views when a coalescing plan for the workload
-// is held (see coalesce.go).
+// own), or zero-copy replay views when a plan for the workload is held
+// (see coalesce.go).
 func (r *Runner) buildSuite(spec workload.Spec) (*suiteView, error) {
 	return r.buildSuiteCtx(context.Background(), spec)
 }
@@ -297,7 +297,10 @@ func (r *Runner) buildSuiteCtx(ctx context.Context, spec workload.Spec) (*suiteV
 			obs.Str("workload", spec.Name), obs.Int("records_per_core", int64(r.opts.RecordsPerCore)))
 		defer sp.End()
 	}
-	if p := r.activePlan(spec.Name); p != nil {
+	if p := r.heldPlan(spec.Name); p != nil {
+		if err := p.materialize(ctx, r, spec); err != nil {
+			return nil, err
+		}
 		r.coalesceHits.Add(1)
 		streams := make([]trace.Stream, len(p.records))
 		for i, recs := range p.records {

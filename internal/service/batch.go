@@ -209,13 +209,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Price the batch as the sum of its non-coalesced items: each distinct
 	// fresh result key costs one options-scaled unit; duplicates within the
-	// batch and keys already cached (or in flight) are free. fresh tracks
-	// which (engine, workload) groups carry any fresh work at all — only
-	// those are worth a replay plan.
-	type planKey struct{ digest, workload string }
+	// batch and keys already cached (or in flight) are free.
 	var cost float64
 	seen := make(map[string]bool)
-	fresh := make(map[planKey]bool)
 	for i := range items {
 		it := &items[i]
 		for _, p := range it.policySet() {
@@ -224,10 +220,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			seen[key] = true
-			if c := s.evaluateCost(execs[i].digest, it.Workload, p, execs[i].engine.Options()); c > 0 {
-				cost += c
-				fresh[planKey{execs[i].digest, it.Workload}] = true
-			}
+			cost += s.evaluateCost(execs[i].digest, it.Workload, p, execs[i].engine.Options())
 		}
 	}
 	if !s.admitCost(w, cost) {
@@ -237,15 +230,17 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.adm.release(cost, time.Since(start)) }()
 	s.met.batchRequests.Inc()
 
-	// Pin one replay plan per (engine, workload) group with fresh work, so
-	// items sharing a trace but differing in policy drive all their
-	// simulation chains off a single trace pass. Acquisition failure is not
-	// fatal — those items run uncoalesced and surface their own errors.
+	// Hold one replay plan per (engine, workload) group, so items sharing a
+	// trace but differing in policy drive all their simulation chains off a
+	// single trace pass. A hold on an all-cached group generates nothing.
+	// Acquisition failure is not fatal — those items run uncoalesced and
+	// surface their own errors.
 	ctx := r.Context()
+	type planKey struct{ digest, workload string }
 	plans := make(map[planKey]func())
 	for i := range items {
 		pk := planKey{execs[i].digest, items[i].Workload}
-		if _, ok := plans[pk]; ok || !fresh[pk] {
+		if _, ok := plans[pk]; ok {
 			continue
 		}
 		if release, err := execs[i].engine.AcquireTracePlan(ctx, items[i].Workload); err == nil {

@@ -7,7 +7,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hmem/internal/avf"
 	"hmem/internal/core"
@@ -320,7 +320,7 @@ func (p *Placement) TierPages(t int) []uint64 {
 			out = append(out, ids[i])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

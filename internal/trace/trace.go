@@ -59,14 +59,18 @@ func (k Kind) String() string {
 func (k Kind) IsWrite() bool { return k == Write }
 
 // Record is one memory request in a trace.
+//
+// Fields are ordered widest first so the struct packs into 24 bytes (held
+// trace plans keep millions of records resident); the binary codec encodes
+// each field explicitly, so the order is not part of the file format.
 type Record struct {
-	// Gap is the number of non-memory instructions executed by the core
-	// since its previous memory request.
-	Gap uint32
 	// PC is the program counter of the requesting instruction.
 	PC uint64
 	// Addr is the byte address accessed.
 	Addr uint64
+	// Gap is the number of non-memory instructions executed by the core
+	// since its previous memory request.
+	Gap uint32
 	// Kind is the request type.
 	Kind Kind
 }
@@ -119,10 +123,15 @@ func (s *SliceStream) Reset() { s.pos = 0 }
 func (s *SliceStream) Len() int { return len(s.recs) }
 
 // Collect drains a stream into a slice, stopping at io.EOF or after max
-// records (max <= 0 means unbounded). Any error other than io.EOF is
-// returned with the records read so far.
+// records (max <= 0 means unbounded). A positive max also sizes the slice
+// up front, so a stream of exactly max records fills it without growth
+// slack. Any error other than io.EOF is returned with the records read so
+// far.
 func Collect(s Stream, max int) ([]Record, error) {
 	var out []Record
+	if max > 0 {
+		out = make([]Record, 0, max)
+	}
 	for max <= 0 || len(out) < max {
 		r, err := s.Next()
 		if errors.Is(err, io.EOF) {

@@ -6,9 +6,32 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hmem/internal/xrand"
 )
+
+// TestRecordSize pins the packed record layout: held trace plans keep
+// 16 cores × RecordsPerCore records per workload resident, so a field
+// reorder that reintroduces padding (32 bytes) is a memory regression.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 24 {
+		t.Fatalf("sizeof(Record) = %d bytes, want 24", got)
+	}
+}
+
+// TestCollectSizesToBound checks a bounded Collect allocates exactly the
+// bound, so a stream of that many records leaves no growth slack.
+func TestCollectSizesToBound(t *testing.T) {
+	recs := make([]Record, 5)
+	got, err := Collect(NewSliceStream(recs), len(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) || cap(got) != len(recs) {
+		t.Fatalf("len %d cap %d, want both %d", len(got), cap(got), len(recs))
+	}
+}
 
 func TestGranularityHelpers(t *testing.T) {
 	r := Record{Addr: 2*PageSize + 3*LineSize + 7}
