@@ -1,7 +1,8 @@
 // Command hmemd serves the placement-advisory HTTP API: workload × policy
 // evaluations, policy comparisons, and async experiment jobs, all backed by
-// a process-lifetime result cache (identical requests — concurrent or
-// repeated — perform one simulation).
+// a bounded result store (identical requests — concurrent or repeated —
+// perform one simulation) and a capped table of engines, so resident
+// memory stays flat under any stream of option sets.
 //
 // Usage:
 //

@@ -293,8 +293,9 @@ func Compare(ctx context.Context, workloadName string, policies []PolicyName, op
 // Engine is a long-lived evaluation session: one memoized experiment runner
 // shared across every call, so repeated and concurrent requests for the same
 // simulation collapse into a single execution. The hmemd service keeps one
-// Engine per distinct option set for its process lifetime. All methods are
-// safe for concurrent use.
+// Engine per distinct option set in a small table that evicts the least
+// recently used; an evicted Engine stays valid for callers still holding it.
+// All methods are safe for concurrent use.
 type Engine struct {
 	r *experiments.Runner
 }

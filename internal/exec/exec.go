@@ -158,17 +158,6 @@ func (m *Memo[K, V]) Len() int {
 	return len(m.calls)
 }
 
-// Known reports whether key has a finished or in-flight computation — i.e.
-// whether a Do for it would share existing work rather than start new work.
-// Admission control uses this to price memo hits as near-free without
-// perturbing the hit/miss counters.
-func (m *Memo[K, V]) Known(key K) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.calls[key]
-	return ok
-}
-
 // Stats returns the current hit/miss counters.
 func (m *Memo[K, V]) Stats() MemoStats {
 	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load()}

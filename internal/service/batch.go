@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -118,14 +117,9 @@ type BatchSummary struct {
 // (rather than inline in the handler) so FuzzBatchRequest can drive the
 // exact production decode path on raw bytes.
 func decodeBatchRequest(body []byte) (*BatchRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var req BatchRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("invalid request body: %v", err)
-	}
-	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		return nil, errors.New("invalid request body: trailing data")
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, err
 	}
 	if len(req.Items) == 0 {
 		return nil, errors.New("items must be non-empty")
@@ -173,15 +167,8 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.refuseIfClosing(w) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %v", err))
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	req, err := decodeBatchRequest(body)
@@ -191,37 +178,26 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	items := req.Items
 
-	// Resolve every item's engine up front: a bad option patch 400s the
-	// whole batch before any admission charge or stream byte.
+	// Resolve every item's engine up front, so a bad option patch 400s the
+	// whole batch before any admission charge or stream byte, and price
+	// the batch as the sum of its non-coalesced items: each distinct fresh
+	// result key costs one options-scaled unit; duplicates within the batch
+	// and keys already stored (or in flight) are free.
 	type itemExec struct {
 		engine *hmem.Engine
 		digest string
 	}
 	execs := make([]itemExec, len(items))
-	for i := range items {
-		e, digest, err := s.engineFor(items[i].Options)
+	var cost float64
+	seen := make(map[string]bool)
+	for i, it := range items {
+		e, digest, err := s.engineFor(it.Options)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("item %d: %w", i, err))
 			return
 		}
 		execs[i] = itemExec{engine: e, digest: digest}
-	}
-
-	// Price the batch as the sum of its non-coalesced items: each distinct
-	// fresh result key costs one options-scaled unit; duplicates within the
-	// batch and keys already cached (or in flight) are free.
-	var cost float64
-	seen := make(map[string]bool)
-	for i := range items {
-		it := &items[i]
-		for _, p := range it.policySet() {
-			key := resultKey(execs[i].digest, it.Workload, p)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			cost += s.evaluateCost(execs[i].digest, it.Workload, p, execs[i].engine.Options())
-		}
+		cost += s.freshCost(seen, digest, it.Workload, it.policySet(), e.Options())
 	}
 	if !s.admitCost(w, cost) {
 		return
@@ -327,42 +303,18 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runBatchItem executes one item through the shared result cache and
+// runBatchItem executes one item through the shared result store and
 // renders its line. Errors are the item's, never the batch's.
 func (s *Service) runBatchItem(ctx context.Context, it BatchItem, e *hmem.Engine, digest string, index int) BatchResult {
 	out := BatchResult{Seq: index + 1, Index: index, ID: it.ID}
-	if len(it.Policies) > 0 {
-		results, err := exec.Map(ctx, e.Options().Parallel, len(it.Policies), func(j int) (hmem.Result, error) {
-			return s.evaluateCached(ctx, e, digest, it.Workload, it.Policies[j])
-		})
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		raw, err := json.Marshal(results)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Results = raw
-		return out
-	}
-	key := resultKey(digest, it.Workload, it.Policy)
-	if raw, ok := s.encodedResults.Load(key); ok {
-		out.Result = raw.(json.RawMessage)
-		return out
-	}
-	res, err := s.evaluateCached(ctx, e, digest, it.Workload, it.Policy)
-	if err != nil {
+	raws, err := s.evaluatePolicies(ctx, e, digest, it.Workload, it.policySet())
+	switch {
+	case err != nil:
 		out.Error = err.Error()
-		return out
+	case len(it.Policies) > 0:
+		out.Results = resultArray(raws)
+	default:
+		out.Result = raws[0]
 	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	s.encodedResults.Store(key, json.RawMessage(raw))
-	out.Result = raw
 	return out
 }

@@ -156,16 +156,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var eb errorBody
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		return &APIError{
-			StatusCode: resp.StatusCode,
-			Message:    msg,
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-		}
+		return responseError(resp)
 	}
 	if out == nil {
 		return nil
@@ -174,6 +165,18 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 		return fmt.Errorf("hmemd: decoding %s %s response: %w", method, path, err)
 	}
 	return nil
+}
+
+// responseError reads a non-2xx response's error envelope (falling back to
+// the status line) and Retry-After hint into an APIError.
+func responseError(resp *http.Response) *APIError {
+	var eb errorBody
+	msg := resp.Status
+	if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb) == nil && eb.Error != "" {
+		msg = eb.Error
+	}
+	return &APIError{StatusCode: resp.StatusCode, Message: msg,
+		RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
 }
 
 // parseRetryAfter reads the header's delay-seconds form (the only form this
@@ -404,60 +407,60 @@ func (c *Client) WaitJob(ctx context.Context, id string, onEvent func(JobEvent))
 	}
 }
 
+// openStream opens one breaker-gated NDJSON stream (a JSON body, when
+// given, is posted) and returns the 200 response. A stream can outlive any
+// fixed client timeout, so only ctx bounds it. An answered stream counts as
+// a breaker success: failures mid-stream are the pipe's fault, not
+// evidence against the host.
+func (c *Client) openStream(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	if c.Breaker == nil {
+		return c.sendStream(ctx, method, path, body)
+	}
+	done, ok := c.Breaker.Allow()
+	if !ok {
+		return nil, ErrCircuitOpen
+	}
+	resp, err := c.sendStream(ctx, method, path, body)
+	done(err == nil || !retryable(err))
+	return resp, err
+}
+
+func (c *Client) sendStream(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(c.BaseURL, "/")+path, rd)
+	if err != nil {
+		return nil, fmt.Errorf("hmemd: building %s request: %w", path, err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	hc := *c.httpClient()
+	hc.Timeout = 0
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("hmemd: %s %s: %w", method, path, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, responseError(resp)
+	}
+	return resp, nil
+}
+
 // watchOnce runs one watch connection until a terminal event (nil) or the
 // stream dies (error). lastSeq carries transition dedup state across
 // reconnects: replayed transitions at or below it are skipped; progress
 // heartbeats (which reuse their transition's seq) are always forwarded —
 // they are point-in-time telemetry, not history.
 func (c *Client) watchOnce(ctx context.Context, id string, lastSeq *int, onEvent func(JobEvent)) error {
-	var done func(bool)
-	if c.Breaker != nil {
-		var ok bool
-		done, ok = c.Breaker.Allow()
-		if !ok {
-			return ErrCircuitOpen
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(c.BaseURL, "/")+"/v1/jobs/"+id+"?watch=1", nil)
+	resp, err := c.openStream(ctx, http.MethodGet, "/v1/jobs/"+id+"?watch=1", nil)
 	if err != nil {
-		if done != nil {
-			done(false)
-		}
-		return fmt.Errorf("hmemd: building watch request: %w", err)
-	}
-	// Watching can outlive any fixed client timeout; rely on ctx instead.
-	hc := *c.httpClient()
-	hc.Timeout = 0
-	resp, err := hc.Do(req)
-	if err != nil {
-		if done != nil {
-			done(false)
-		}
-		return fmt.Errorf("hmemd: watching job %s: %w", id, err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		apiErr := &APIError{
-			StatusCode: resp.StatusCode,
-			Message:    msg,
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-		if done != nil {
-			done(!retryable(apiErr))
-		}
-		return apiErr
-	}
-	// The connection was established and answered coherently; mid-stream
-	// failures below are the pipe's fault, not evidence against the host.
-	if done != nil {
-		done(true)
-	}
 	dec := json.NewDecoder(resp.Body)
 	for {
 		var ev JobEvent

@@ -1,14 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 )
 
@@ -93,55 +90,11 @@ func (c *Client) CollectBatch(ctx context.Context, req BatchRequest) ([]BatchRes
 // (returned) or the stream dies (error). lastSeq carries dedup state
 // across reconnects: replayed lines at or below it are skipped.
 func (c *Client) batchOnce(ctx context.Context, items []BatchItem, body []byte, lastSeq *int, onResult func(BatchResult)) (BatchSummary, error) {
-	var done func(bool)
-	if c.Breaker != nil {
-		var ok bool
-		done, ok = c.Breaker.Allow()
-		if !ok {
-			return BatchSummary{}, ErrCircuitOpen
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(c.BaseURL, "/")+"/v1/batch", bytes.NewReader(body))
+	resp, err := c.openStream(ctx, http.MethodPost, "/v1/batch", body)
 	if err != nil {
-		if done != nil {
-			done(false)
-		}
-		return BatchSummary{}, fmt.Errorf("hmemd: building batch request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// A large batch can outlive any fixed client timeout; rely on ctx.
-	hc := *c.httpClient()
-	hc.Timeout = 0
-	resp, err := hc.Do(req)
-	if err != nil {
-		if done != nil {
-			done(false)
-		}
-		return BatchSummary{}, fmt.Errorf("hmemd: posting batch: %w", err)
+		return BatchSummary{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		apiErr := &APIError{
-			StatusCode: resp.StatusCode,
-			Message:    msg,
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-		if done != nil {
-			done(!retryable(apiErr))
-		}
-		return BatchSummary{}, apiErr
-	}
-	// Connection established and answered coherently; mid-stream failures
-	// below are the pipe's fault, not evidence against the host.
-	if done != nil {
-		done(true)
-	}
 	dec := json.NewDecoder(resp.Body)
 	for {
 		var ev BatchResult

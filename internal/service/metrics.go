@@ -31,7 +31,12 @@ type serviceMetrics struct {
 	spansDropped *obs.Counter
 
 	resultHits, resultMisses *obs.Counter
+	resultStoreBytes         *obs.Gauge
+	resultStoreEntries       *obs.Gauge
+	resultStoreEvictions     *obs.Counter
 	engineHits, engineMisses *obs.Counter
+	engines                  *obs.Gauge
+	engineEvictions          *obs.Counter
 
 	batchRequests *obs.Counter
 	batchItems    *obs.CounterVec
@@ -90,10 +95,20 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"Evaluate requests served from the result cache (finished or in-flight)."),
 		resultMisses: reg.Counter("hmemd_result_cache_misses_total",
 			"Evaluate requests that started a simulation."),
+		resultStoreBytes: reg.Gauge("hmemd_result_store_bytes",
+			"Bytes (keys plus encoded results) held by the result store."),
+		resultStoreEntries: reg.Gauge("hmemd_result_store_entries",
+			"Encoded results held by the result store."),
+		resultStoreEvictions: reg.Counter("hmemd_result_store_evictions_total",
+			"Results evicted from the result store to stay within its byte budget."),
 		engineHits: reg.Counter("hmemd_engine_memo_hits_total",
 			"Engine-level memo hits (profiles, policy runs, fault studies) across all engines."),
 		engineMisses: reg.Counter("hmemd_engine_memo_misses_total",
 			"Engine-level memo misses across all engines."),
+		engines: reg.Gauge("hmemd_engines",
+			"Engines (one per resolved option set) held by the engine table."),
+		engineEvictions: reg.Counter("hmemd_engine_evictions_total",
+			"Engines evicted from the engine table to stay within its count cap."),
 		batchRequests: reg.Counter("hmemd_batch_requests_total",
 			"Batch requests accepted by POST /v1/batch (validated and admitted)."),
 		batchItems: reg.CounterVec("hmemd_batch_items_total",
@@ -193,15 +208,20 @@ var jobStates = []string{JobQueued, JobRunning, JobDone, JobFailed, JobCancelled
 // gauge, so the copy is safe to repeat.
 func (s *Service) syncMetrics() {
 	m := s.met
-	rc := s.results.Stats()
-	m.resultHits.Set(rc.Hits)
-	m.resultMisses.Set(rc.Misses)
-	es := s.engineStats()
-	m.engineHits.Set(es.Hits)
-	m.engineMisses.Set(es.Misses)
-	ts := s.TraceStats()
-	m.traceOpens.Set(ts.Opens)
-	m.coalesceHits.Set(ts.CoalesceHits)
+	rs := s.ResultCacheStats()
+	m.resultHits.Set(rs.Hits)
+	m.resultMisses.Set(rs.Misses)
+	entries, bytes := s.results.Size()
+	m.resultStoreEntries.Set(float64(entries))
+	m.resultStoreBytes.Set(float64(bytes))
+	m.resultStoreEvictions.Set(s.results.Evictions())
+	memo, traces, engines, evictions := s.engines.stats()
+	m.engineHits.Set(memo.Hits)
+	m.engineMisses.Set(memo.Misses)
+	m.engines.Set(float64(engines))
+	m.engineEvictions.Set(evictions)
+	m.traceOpens.Set(traces.Opens)
+	m.coalesceHits.Set(traces.CoalesceHits)
 	m.queueDepth.Set(float64(len(s.queue)))
 	m.queueOldestAge.Set(s.jobs.oldestQueuedAge().Seconds())
 	counts := s.jobs.countByState()

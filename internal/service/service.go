@@ -5,10 +5,11 @@
 //
 // The service is three cooperating pieces:
 //
-//   - synchronous evaluation endpoints (/v1/evaluate, /v1/compare) that run
-//     on the caller's request goroutine, deduplicated by a process-lifetime
-//     singleflight result cache — two concurrent identical requests perform
-//     one simulation;
+//   - synchronous evaluation endpoints (/v1/evaluate, /v1/compare,
+//     /v1/batch) that run on the caller's request goroutine, deduplicated by
+//     a bounded singleflight store of encoded results — two concurrent
+//     identical requests perform one simulation — over a capped table of
+//     engines, so memory stays flat under any stream of option sets;
 //   - an async job queue (/v1/jobs) for the long-running experiment drivers
 //     (regenerating a paper figure can take minutes), bounded in depth and
 //     drained by a fixed worker pool, with NDJSON progress streaming;
@@ -19,14 +20,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,6 +35,7 @@ import (
 	"time"
 
 	"hmem"
+	"hmem/internal/cluster"
 	"hmem/internal/exec"
 	"hmem/internal/obs"
 )
@@ -43,7 +45,8 @@ import (
 type Config struct {
 	// Defaults are the engine options used when a request carries no
 	// overrides. Requests may override RecordsPerCore etc. per call; each
-	// distinct resolved option set gets its own engine (and caches).
+	// distinct resolved option set gets its own engine (and memo), held in
+	// a table of at most maxEngines.
 	Defaults hmem.Options
 	// MaxBodyBytes bounds request bodies (<=0 = 1 MiB).
 	MaxBodyBytes int64
@@ -105,23 +108,14 @@ type Service struct {
 	cfg Config
 	mux *http.ServeMux
 
-	// engines maps an options digest to its long-lived engine so every
-	// request shape shares one memoized runner per option set.
-	enginesMu sync.Mutex
-	engines   map[string]*hmem.Engine
-	// enginesByPatch short-circuits engineFor: OptionsPatch value →
-	// *patchResolution, skipping the probe engine and digest per request.
-	enginesByPatch sync.Map
+	// engines holds one engine (memoized runner) per resolved option set,
+	// bounded by maxEngines.
+	engines engineTable
 
-	// results collapses identical evaluate requests — concurrent and
-	// repeated — into one simulation. Keyed by digest|workload|policy.
-	results exec.Memo[string, hmem.Result]
-
-	// encodedResults caches the marshaled form of successful results for
-	// the batch stream, which would otherwise re-encode each warm hit
-	// twice (payload + envelope). Same keys as results, bytes are
-	// immutable once stored.
-	encodedResults sync.Map
+	// results is the result store: every successful evaluation's encoded
+	// JSON by resultKey, within cluster.CacheBudget. Identical requests
+	// share one simulation; every endpoint writes the stored bytes.
+	results cluster.Cache
 
 	jobs jobStore
 
@@ -187,7 +181,6 @@ func New(cfg Config) (*Service, error) {
 	reg := obs.NewRegistry()
 	s := &Service{
 		cfg:        cfg,
-		engines:    map[string]*hmem.Engine{},
 		baseCtx:    baseCtx,
 		cancelBase: cancel,
 		registry:   reg,
@@ -206,14 +199,15 @@ func New(cfg Config) (*Service, error) {
 	}
 	// Validate the configured defaults once, up front: a bad default option
 	// set should fail service start, not every request. The resolved option
-	// set anchors the admission cost model's unit (one default evaluate).
-	defEngine, _, err := s.engineFor(nil)
+	// set is what request patches apply to, and anchors the admission cost
+	// model's unit (one default evaluate).
+	probe, err := hmem.NewEngine(&cfg.Defaults)
 	if err != nil {
 		cancel()
 		s.stopCluster()
 		return nil, fmt.Errorf("service: invalid default options: %w", err)
 	}
-	s.resolvedDefaults = defEngine.Options()
+	s.resolvedDefaults = probe.Options()
 	s.adm = newAdmission(cfg.Admission)
 	s.jobs.init()
 
@@ -391,110 +385,10 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// --- engines and the result cache ---
+// --- engines and the result store ---
 
-// optionsDigest canonically fingerprints a resolved option set. Parallel is
-// normalized out: it only changes scheduling, never a result, so requests
-// differing only in worker count share cache entries.
-func optionsDigest(o hmem.Options) string {
-	o.Parallel = 0
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", o)))
-	return hex.EncodeToString(sum[:8])
-}
-
-// engineFor returns the process-lifetime engine for an option patch,
-// creating it on first use. The digest of the engine's resolved options is
-// the cache-key prefix for its results.
-//
-// The patch → (engine, digest) resolution is cached: OptionsPatch is a
-// small comparable struct, and resolving it from scratch (a probe engine
-// plus a reflective digest) per request dominated the warm path once
-// batches carried many items per request. Entries are keyed by patch
-// value — distinct patches resolving to the same options share the engine
-// through the digest map as before.
-func (s *Service) engineFor(patch *OptionsPatch) (*hmem.Engine, string, error) {
-	key := OptionsPatch{}
-	if patch != nil {
-		key = *patch
-	}
-	if v, ok := s.enginesByPatch.Load(key); ok {
-		r := v.(*patchResolution)
-		return r.engine, r.digest, nil
-	}
-	opts := s.cfg.Defaults
-	if patch != nil {
-		opts = patch.apply(opts)
-	}
-	e, digest, err := s.engineForOptions(opts)
-	if err != nil {
-		return nil, "", err
-	}
-	s.enginesByPatch.Store(key, &patchResolution{engine: e, digest: digest})
-	return e, digest, nil
-}
-
-// patchResolution is one cached engineFor answer.
-type patchResolution struct {
-	engine *hmem.Engine
-	digest string
-}
-
-// engineForOptions is engineFor on a fully-resolved option set — also the
-// entry workers use to rebuild a shard's engine from its wire options. On
-// coordinators every new engine gets the cluster delegate, so its expensive
-// blocks fan out to workers from the first request.
-func (s *Service) engineForOptions(opts hmem.Options) (*hmem.Engine, string, error) {
-	probe, err := hmem.NewEngine(&opts)
-	if err != nil {
-		return nil, "", err
-	}
-	digest := optionsDigest(probe.Options())
-	s.enginesMu.Lock()
-	defer s.enginesMu.Unlock()
-	if e, ok := s.engines[digest]; ok {
-		return e, digest, nil
-	}
-	if s.cluster != nil && s.cluster.sched != nil {
-		d, err := newClusterDelegate(s, probe.Options(), digest)
-		if err != nil {
-			return nil, "", err
-		}
-		probe.SetDelegate(d)
-	}
-	if s.cfg.TraceWrap != nil {
-		probe.SetTraceWrap(s.cfg.TraceWrap)
-	}
-	s.engines[digest] = probe
-	return probe, digest, nil
-}
-
-// engineStats sums the memo counters of every engine (for /metrics).
-func (s *Service) engineStats() exec.MemoStats {
-	s.enginesMu.Lock()
-	defer s.enginesMu.Unlock()
-	var total exec.MemoStats
-	for _, e := range s.engines {
-		total = total.Add(e.CacheStats())
-	}
-	return total
-}
-
-// TraceStats sums the trace-delivery counters of every engine: generator
-// runs (opens) versus simulations served a coalesced replay (hits). Feeds
-// hmemd_trace_opens_total / hmemd_coalesce_hits_total and the coalescing
-// correctness tests.
-func (s *Service) TraceStats() hmem.TraceStats {
-	s.enginesMu.Lock()
-	defer s.enginesMu.Unlock()
-	var total hmem.TraceStats
-	for _, e := range s.engines {
-		total = total.Add(e.TraceStats())
-	}
-	return total
-}
-
-// resultKey is the result-cache key for one evaluation; the admission cost
-// model probes the same key to price cache hits as free.
+// resultKey is the result-store key for one evaluation; the admission cost
+// model probes the same key to price stored results as free.
 func resultKey(digest, workloadName string, policy hmem.PolicyName) string {
 	return digest + "|" + workloadName + "|" + string(policy)
 }
@@ -517,14 +411,24 @@ func (s *Service) costUnit(opts hmem.Options) float64 {
 	return u
 }
 
-// evaluateCost prices one evaluate request: a result already finished or in
-// flight shares existing work and is free; fresh work costs one unit scaled
-// by the request's options.
-func (s *Service) evaluateCost(digest, workloadName string, policy hmem.PolicyName, opts hmem.Options) float64 {
-	if s.results.Known(resultKey(digest, workloadName, policy)) {
-		return 0
+// freshCost prices evaluations of workloadName under policies: each
+// distinct result key neither stored nor in flight costs one unit scaled by
+// the options; duplicates and known keys share existing work and are free.
+// seen carries the dedup across calls, so a batch prices all its items as
+// one set; evaluate and compare pass a fresh map.
+func (s *Service) freshCost(seen map[string]bool, digest, workloadName string, policies []hmem.PolicyName, opts hmem.Options) float64 {
+	var cost float64
+	for _, p := range policies {
+		key := resultKey(digest, workloadName, p)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		if !s.results.Known(key) {
+			cost += s.costUnit(opts)
+		}
 	}
-	return s.costUnit(opts)
+	return cost
 }
 
 // jobCost prices one experiment job: a flat multiple of the unit, since a
@@ -533,65 +437,68 @@ func (s *Service) jobCost(opts hmem.Options) float64 {
 	return s.adm.jobFactor * s.costUnit(opts)
 }
 
-// evaluateCached runs one evaluation through the result cache: concurrent
-// and repeated identical requests share a single simulation.
-func (s *Service) evaluateCached(ctx context.Context, e *hmem.Engine, digest, workloadName string, policy hmem.PolicyName) (hmem.Result, error) {
-	key := resultKey(digest, workloadName, policy)
-	return s.results.DoCtx(ctx, key, func() (hmem.Result, error) {
-		// Background, not ctx: the result is shared with every requester of
-		// the key, so one caller's cancellation must not be cached. The
-		// registry rides along so engine metrics (hmem_*) land on /metrics.
-		return e.Evaluate(obs.WithRegistry(context.Background(), s.registry), workloadName, policy)
-	})
+// evaluatePolicies returns workloadName's encoded result under each policy,
+// in policy order, from the result store: a miss simulates, and concurrent
+// and repeated identical requests share one simulation. The bytes are
+// shared; callers must not modify them.
+func (s *Service) evaluatePolicies(ctx context.Context, e *hmem.Engine, digest, workloadName string, policies []hmem.PolicyName) ([][]byte, error) {
+	one := func(i int) ([]byte, error) {
+		return s.results.Do(ctx, resultKey(digest, workloadName, policies[i]), func() ([]byte, error) {
+			// Background, not ctx: the result is shared with every requester
+			// of the key, so one caller's cancellation must not end it. The
+			// registry rides along so engine metrics (hmem_*) land on /metrics.
+			res, err := e.Evaluate(obs.WithRegistry(context.Background(), s.registry), workloadName, policies[i])
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(res)
+		})
+	}
+	if len(policies) == 1 {
+		raw, err := one(0)
+		return [][]byte{raw}, err
+	}
+	return exec.Map(ctx, e.Options().Parallel, len(policies), one)
 }
 
-// ResultCacheStats exposes the evaluate-cache counters (tests and /metrics).
-func (s *Service) ResultCacheStats() exec.MemoStats { return s.results.Stats() }
+// resultArray joins encoded results into a JSON array: byte-identical to
+// encoding the decoded []hmem.Result.
+func resultArray(raws [][]byte) []byte {
+	return slices.Concat([]byte("["), bytes.Join(raws, []byte(",")), []byte("]"))
+}
+
+// ResultCacheStats exposes the result store's hit/miss counters, the values
+// behind hmemd_result_cache_{hits,misses}_total.
+func (s *Service) ResultCacheStats() exec.MemoStats {
+	hits, misses := s.results.Stats()
+	return exec.MemoStats{Hits: hits, Misses: misses}
+}
 
 // --- validation ---
 
-// knownTargets holds the valid workload and policy names, built once: the
+// knownWorkloads and knownPolicies hold the valid names, built once: the
 // lists are static, and rebuilding them per validation was a measurable
 // slice of the warm request path once batches multiplied validations per
 // request.
-var (
-	knownOnce      sync.Once
-	knownWorkloads map[string]bool
-	knownPolicies  map[hmem.PolicyName]bool
-)
-
-func buildKnownTargets() {
-	knownWorkloads = make(map[string]bool)
-	for _, w := range hmem.Workloads() {
-		knownWorkloads[w] = true
+var knownWorkloads, knownPolicies = func() (map[string]bool, map[hmem.PolicyName]bool) {
+	ws, ps := map[string]bool{}, map[hmem.PolicyName]bool{}
+	for _, w := range append(hmem.Workloads(), hmem.Benchmarks()...) {
+		ws[w] = true
 	}
-	for _, b := range hmem.Benchmarks() {
-		knownWorkloads[b] = true
+	for _, p := range hmem.Policies() {
+		ps[p] = true
 	}
-	knownPolicies = make(map[hmem.PolicyName]bool, len(hmem.Policies()))
-	for _, q := range hmem.Policies() {
-		knownPolicies[q] = true
-	}
-}
-
-func knownWorkload(name string) bool {
-	knownOnce.Do(buildKnownTargets)
-	return knownWorkloads[name]
-}
-
-func knownPolicy(p hmem.PolicyName) bool {
-	knownOnce.Do(buildKnownTargets)
-	return knownPolicies[p]
-}
+	return ws, ps
+}()
 
 // validateTarget 400s unknown workloads/policies before any simulation (or
 // cache entry) happens, with the valid choices in the message.
 func validateTarget(workloadName string, policies ...hmem.PolicyName) error {
-	if !knownWorkload(workloadName) {
+	if !knownWorkloads[workloadName] {
 		return fmt.Errorf("unknown workload %q (GET /v1/workloads lists the choices)", workloadName)
 	}
 	for _, p := range policies {
-		if !knownPolicy(p) {
+		if !knownPolicies[p] {
 			return fmt.Errorf("unknown policy %q (GET /v1/policies lists the choices)", p)
 		}
 	}
@@ -633,80 +540,56 @@ func (s *Service) handleExperiments(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	if s.refuseIfClosing(w) {
-		return
-	}
 	var req EvaluateRequest
-	if !s.readJSON(w, r, &req) {
+	if s.refuseIfClosing(w) || !s.readJSON(w, r, &req) {
 		return
 	}
-	if err := validateTarget(req.Workload, req.Policy); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	e, digest, err := s.engineFor(req.Options)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	cost := s.evaluateCost(digest, req.Workload, req.Policy, e.Options())
-	if !s.admitCost(w, cost) {
-		return
-	}
-	start := time.Now()
-	res, err := s.evaluateCached(r.Context(), e, digest, req.Workload, req.Policy)
-	s.adm.release(cost, time.Since(start))
-	if err != nil {
-		writeEvaluationError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	s.serveEvaluations(w, r, req.Workload, []hmem.PolicyName{req.Policy}, req.Options, false)
 }
 
 func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if s.refuseIfClosing(w) {
-		return
-	}
 	var req CompareRequest
-	if !s.readJSON(w, r, &req) {
+	if s.refuseIfClosing(w) || !s.readJSON(w, r, &req) {
 		return
 	}
 	if len(req.Policies) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("policies must be non-empty"))
 		return
 	}
-	if err := validateTarget(req.Workload, req.Policies...); err != nil {
+	s.serveEvaluations(w, r, req.Workload, req.Policies, req.Options, true)
+}
+
+// serveEvaluations is the body of /v1/evaluate and /v1/compare: validate,
+// resolve the engine, price by the batch rule (each distinct policy whose
+// result is neither stored nor in flight costs one unit), admit, and write
+// the stored bytes — bare for an evaluate, as {"results":[...]} for a
+// compare. Both share the result store with batch items, so mixed traffic
+// shares simulations.
+func (s *Service) serveEvaluations(w http.ResponseWriter, r *http.Request, workloadName string, policies []hmem.PolicyName, patch *OptionsPatch, compare bool) {
+	if err := validateTarget(workloadName, policies...); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	e, digest, err := s.engineFor(req.Options)
+	e, digest, err := s.engineFor(patch)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Compare is priced per policy: policies whose result is already cached
-	// (or in flight) are free, the rest cost one unit each.
-	var cost float64
-	for _, p := range req.Policies {
-		cost += s.evaluateCost(digest, req.Workload, p, e.Options())
-	}
+	cost := s.freshCost(map[string]bool{}, digest, workloadName, policies, e.Options())
 	if !s.admitCost(w, cost) {
 		return
 	}
 	start := time.Now()
-	// Compare goes policy-by-policy through the same result cache the
-	// evaluate endpoint uses, so mixed evaluate/compare traffic shares
-	// simulations. The engine's own memoization already collapses the
-	// underlying profiling run.
-	results, err := exec.Map(r.Context(), e.Options().Parallel, len(req.Policies), func(i int) (hmem.Result, error) {
-		return s.evaluateCached(r.Context(), e, digest, req.Workload, req.Policies[i])
-	})
+	raws, err := s.evaluatePolicies(r.Context(), e, digest, workloadName, policies)
 	s.adm.release(cost, time.Since(start))
-	if err != nil {
+	switch {
+	case err != nil:
 		writeEvaluationError(w, err)
-		return
+	case compare:
+		writeEncoded(w, http.StatusOK, []byte(`{"results":`), resultArray(raws), []byte("}"))
+	default:
+		writeEncoded(w, http.StatusOK, raws[0])
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
 }
 
 // handleHealthz reports the service's rung on the ok → degraded → shedding
@@ -763,27 +646,50 @@ func (s *Service) admitCost(w http.ResponseWriter, cost float64) bool {
 
 // --- plumbing ---
 
-// readJSON decodes a bounded request body, rejecting trailing garbage and
-// unknown fields (a typoed option name should 400, not silently default).
-func (s *Service) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+// readBody reads a request body bounded by MaxBodyBytes, answering 413 or
+// 400 itself when it cannot.
+func (s *Service) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return false
+			return nil, false
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %v", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %v", err))
+		return nil, false
+	}
+	return body, true
+}
+
+// readJSON decodes a bounded request body strictly (see decodeStrict),
+// answering 4xx itself on failure.
+func (s *Service) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return false
 	}
-	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, errors.New("invalid request body: trailing data"))
+	if err := decodeStrict(body, dst); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return false
 	}
 	return true
+}
+
+// decodeStrict decodes exactly one JSON value, rejecting trailing garbage
+// and unknown fields (a typoed option name should 400, not silently
+// default).
+func decodeStrict(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("invalid request body: %v", err)
+	}
+	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
+		return errors.New("invalid request body: trailing data")
+	}
+	return nil
 }
 
 // writeEvaluationError maps engine failures: caller cancellation is 499-ish
@@ -799,10 +705,20 @@ func writeEvaluationError(w http.ResponseWriter, err error) {
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	raw, _ := json.Marshal(v)
+	writeEncoded(w, code, raw)
+}
+
+// writeEncoded answers with already-encoded JSON plus the newline
+// json.Encoder would add, so stored bytes go out exactly as re-encoding
+// their value would.
+func writeEncoded(w http.ResponseWriter, code int, parts ...[]byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	for _, p := range parts {
+		_, _ = w.Write(p)
+	}
+	_, _ = w.Write([]byte("\n"))
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
