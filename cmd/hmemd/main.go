@@ -83,12 +83,10 @@ func main() {
 		coordinator  = flag.String("coordinator", "", "coordinator base URL a worker registers with (required for -role worker)")
 		advertise    = flag.String("advertise", "", "URL the coordinator should reach this worker at (default http://127.0.0.1:<port of -addr>)")
 		workerID     = flag.String("worker-id", "", "stable worker identity in the placement ring (default <hostname>:<port>)")
-		heartbeat    = flag.Duration("heartbeat", 0, "worker heartbeat interval (0 = a third of the coordinator's TTL)")
 		clusterTTL   = flag.Duration("cluster-ttl", 0, "coordinator: drop workers silent for this long (0 = 10s)")
-		stealAfter   = flag.Duration("steal-after", 0, "coordinator: duplicate a shard on another worker after this long without an answer (0 = 2m)")
+		stealAfter   = flag.Duration("steal-after", 0, "coordinator: ceiling of the adaptive straggler-hedge delay (2 x p90 of recent shard latency, at least a quarter of this) before a shard is duplicated on another worker (0 = 2m)")
 		shardTimeout = flag.Duration("shard-timeout", 0, "coordinator: bound one shard dispatch (0 = 10m); timeouts count against the worker's circuit breaker")
 		peerTimeout  = flag.Duration("peer-timeout", 0, "coordinator: bound one peer-cache probe (0 = 2s); keep small when a worker may be slow")
-		hedgeQ       = flag.Float64("hedge-quantile", 0, "coordinator: derive the straggler-hedge delay from this shard-latency quantile in (0,1) (0 = fixed -steal-after delay)")
 		admitBudget  = flag.Float64("admission-budget", 0, "in-flight cost ceiling in default-evaluation units before shedding (0 = 4 x GOMAXPROCS, min 32)")
 		chaosHTTP    = flag.String("chaos-http", "", "JSON chaos plan whose HTTP faults wrap this server's handler (testing only)")
 	)
@@ -130,7 +128,6 @@ func main() {
 			StealAfter:     *stealAfter,
 			RequestTimeout: *shardTimeout,
 			PeerTimeout:    *peerTimeout,
-			HedgeQuantile:  *hedgeQ,
 			Logf:           log.Printf,
 		},
 	}
@@ -231,7 +228,7 @@ func main() {
 		hbCtx, cancel := context.WithCancel(context.Background())
 		stopHeartbeat = cancel
 		heartbeatDone = make(chan struct{})
-		go heartbeatLoop(hbCtx, heartbeatDone, svc, &service.Client{BaseURL: *coordinator}, id, selfURL, *heartbeat)
+		go heartbeatLoop(hbCtx, heartbeatDone, svc, &service.Client{BaseURL: *coordinator}, id, selfURL)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -279,10 +276,10 @@ func ensurePort(addr string) string {
 	return ":" + addr
 }
 
-// heartbeatLoop registers the worker, then re-registers every interval until
-// ctx is cancelled, deregistering on the way out (clean drain; a crash is
-// instead collected by the coordinator's TTL sweep).
-func heartbeatLoop(ctx context.Context, done chan<- struct{}, svc *service.Service, c *service.Client, id, selfURL string, interval time.Duration) {
+// heartbeatLoop registers the worker, then re-registers every third of the
+// coordinator's TTL until ctx is cancelled, deregistering on the way out
+// (clean drain; a crash is instead collected by the coordinator's TTL sweep).
+func heartbeatLoop(ctx context.Context, done chan<- struct{}, svc *service.Service, c *service.Client, id, selfURL string) {
 	defer close(done)
 	register := func() time.Duration {
 		callCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
@@ -300,14 +297,10 @@ func heartbeatLoop(ctx context.Context, done chan<- struct{}, svc *service.Servi
 	if ttl > 0 {
 		log.Printf("hmemd: registered with coordinator as %q (ttl %s)", id, ttl)
 	}
-	every := interval
-	if every <= 0 {
-		if ttl <= 0 {
-			ttl = cluster.DefaultTTL
-		}
-		every = ttl / 3
+	if ttl <= 0 {
+		ttl = cluster.DefaultTTL
 	}
-	t := time.NewTicker(every)
+	t := time.NewTicker(ttl / 3)
 	defer t.Stop()
 	for {
 		select {

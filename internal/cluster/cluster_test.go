@@ -457,8 +457,8 @@ func TestSchedulerStealsFromStraggler(t *testing.T) {
 	if !contains(string(body), `"from":"w2"`) {
 		t.Errorf("body %s, want stolen result from w2", body)
 	}
-	if st := s.Stats(); st.Steals != 1 {
-		t.Errorf("steals = %d, want 1", st.Steals)
+	if st := s.Stats(); st.Hedges != 1 {
+		t.Errorf("hedges = %d, want 1", st.Hedges)
 	}
 }
 

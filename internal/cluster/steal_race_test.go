@@ -65,8 +65,8 @@ func TestClusterStealRaceBothSucceed(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.Placed != 2 || st.Steals != 1 {
-		t.Fatalf("stats = %+v, want 2 placed, 1 steal", st)
+	if st.Placed != 2 || st.Hedges != 1 {
+		t.Fatalf("stats = %+v, want 2 placed, 1 hedge", st)
 	}
 	if st.CacheMisses != 1 || st.CacheHits != 0 {
 		t.Fatalf("stats = %+v, want exactly one cache miss and no hits yet", st)

@@ -38,33 +38,29 @@ func healthName(st int) string {
 type AdmissionConfig struct {
 	// Budget is the in-flight cost ceiling in units of one default-shaped
 	// evaluation (<=0 = 4 × GOMAXPROCS, floored at 32 so a single running
-	// job — JobCostFactor units — cannot push a small machine into
+	// job — jobCostFactor units — cannot push a small machine into
 	// degraded health by itself). A request arriving while in-flight cost
 	// is at or above the budget is shed with 429 + Retry-After; cost-0
-	// requests (memo hits) are always admitted.
+	// requests (memo hits) are always admitted. /healthz reports degraded
+	// (and job submission is refused) from degradedRatio × Budget, and
+	// shedding (every costed endpoint refused) from Budget itself.
 	Budget float64
-	// DegradedRatio is the in-flight/budget fraction at which /healthz
-	// reports degraded and job submission is refused (<=0 = 0.75).
-	DegradedRatio float64
-	// SheddingRatio is the fraction at which /healthz reports shedding and
-	// every costed endpoint is refused (<=0 = 1.0).
-	SheddingRatio float64
 	// HealthHold is how long a crossed threshold keeps its health state
 	// after load drops back under it (<=0 = 2s) — hysteresis so the state
 	// does not flap request-to-request.
 	HealthHold time.Duration
-	// JobCostFactor prices one experiment job in evaluation units
-	// (<=0 = 8): a figure driver fans out to many evaluations.
-	JobCostFactor float64
 	// Now is the clock (nil = time.Now) — the test seam.
 	Now func() time.Time
 }
 
 const (
-	defaultDegradedRatio = 0.75
-	defaultSheddingRatio = 1.0
-	defaultHealthHold    = 2 * time.Second
-	defaultJobCostFactor = 8
+	// degradedRatio is the in-flight/budget fraction at which health turns
+	// degraded.
+	degradedRatio     = 0.75
+	defaultHealthHold = 2 * time.Second
+	// jobCostFactor prices one experiment job in evaluation units: a figure
+	// driver fans out to many evaluations.
+	jobCostFactor = 8
 	// maxRetryAfterSecs caps the drain-rate-derived hint: past a minute the
 	// estimate is noise and clients should poll, not sleep.
 	maxRetryAfterSecs = 60
@@ -82,11 +78,9 @@ const (
 // The under-budget path (admit, release, healthState) is allocation-free —
 // the AllocsPerRun gate in admission_test pins that.
 type admission struct {
-	budget     float64
+	budget     float64 // also the shedding threshold
 	degradedAt float64 // cost threshold, not ratio
-	sheddingAt float64
 	hold       time.Duration
-	jobFactor  float64
 	now        func() time.Time
 
 	// inflightBits holds math.Float64bits of the summed in-flight cost,
@@ -120,21 +114,9 @@ func newAdmission(cfg AdmissionConfig) *admission {
 			budget = 32
 		}
 	}
-	dr := cfg.DegradedRatio
-	if dr <= 0 {
-		dr = defaultDegradedRatio
-	}
-	sr := cfg.SheddingRatio
-	if sr <= 0 {
-		sr = defaultSheddingRatio
-	}
 	hold := cfg.HealthHold
 	if hold <= 0 {
 		hold = defaultHealthHold
-	}
-	jf := cfg.JobCostFactor
-	if jf <= 0 {
-		jf = defaultJobCostFactor
 	}
 	now := cfg.Now
 	if now == nil {
@@ -142,10 +124,8 @@ func newAdmission(cfg AdmissionConfig) *admission {
 	}
 	a := &admission{
 		budget:     budget,
-		degradedAt: dr * budget,
-		sheddingAt: sr * budget,
+		degradedAt: degradedRatio * budget,
 		hold:       hold,
-		jobFactor:  jf,
 		now:        now,
 	}
 	a.drain.now = now
@@ -236,7 +216,7 @@ func (a *admission) latencyEWMA() float64 {
 // stampHealth pins degraded/shedding for the hold window when load crosses
 // their thresholds. Called on every admission-path event; allocation-free.
 func (a *admission) stampHealth(load float64) {
-	if load >= a.sheddingAt {
+	if load >= a.budget {
 		until := a.now().Add(a.hold).UnixNano()
 		a.sheddingUntil.Store(until)
 		a.degradedUntil.Store(until)

@@ -55,7 +55,6 @@ func TestClusterBrownoutBreakerAndRecovery(t *testing.T) {
 	coordCfg.Cluster.RequestTimeout = 2 * time.Second
 	coordCfg.Cluster.PeerTimeout = 100 * time.Millisecond
 	coordCfg.Cluster.StealAfter = time.Second
-	coordCfg.Cluster.HedgeQuantile = 0.9
 	coordCfg.Cluster.Breaker = breaker.Config{
 		Window:         10,
 		MinSamples:     3,

@@ -34,15 +34,11 @@ const (
 // gives sane defaults everywhere.
 type ClusterConfig struct {
 	// TTL is how long a worker stays in the ring without a heartbeat
-	// (<=0 = cluster.DefaultTTL).
+	// (<=0 = cluster.DefaultTTL); the liveness sweep runs every TTL/10.
 	TTL time.Duration
-	// HealthEvery is the liveness sweep interval (<=0 = 1s).
-	HealthEvery time.Duration
-	// StealAfter launches a duplicate of a straggling shard on the next
-	// ring candidate (<=0 = 2m; work-stealing for stuck-but-alive workers).
+	// StealAfter is the ceiling of the adaptive straggler-hedge delay
+	// (<=0 = 2m; see cluster.Scheduler).
 	StealAfter time.Duration
-	// MaxAttempts bounds distinct workers tried per shard (<=0 = 3).
-	MaxAttempts int
 	// RequestTimeout bounds one shard POST (<=0 = 10m).
 	RequestTimeout time.Duration
 	// PeerTimeout bounds one peer-cache probe (<=0 = 2s).
@@ -57,18 +53,6 @@ type ClusterConfig struct {
 	// failure ratio after 5 samples, 5s quarantine, 1 probe, 2 successes
 	// to close).
 	Breaker breaker.Config
-	// HedgeQuantile, when in (0,1), derives the straggler-hedge delay from
-	// observed shard latency (HedgeMultiplier × that quantile, clamped to
-	// [StealAfter/4, StealAfter]) instead of the fixed StealAfter.
-	HedgeQuantile float64
-	// HedgeMultiplier scales the latency quantile into the hedge delay
-	// (<=0 = 2).
-	HedgeMultiplier float64
-	// HedgeRatio is the hedge credit earned per primary dispatch (<=0 =
-	// 0.25) — the global budget keeping hedges from amplifying overload.
-	HedgeRatio float64
-	// HedgeBurst is the up-front hedge allowance (<=0 = 2).
-	HedgeBurst int
 }
 
 // clusterState is the per-role cluster machinery hanging off a Service.
@@ -134,27 +118,18 @@ func (s *Service) initCluster() error {
 		}
 		cs.breakers = breakers
 		cs.sched = &cluster.Scheduler{
-			Registry:        cs.reg,
-			Client:          httpClient,
-			MaxAttempts:     cc.MaxAttempts,
-			StealAfter:      stealAfter,
-			HedgeQuantile:   cc.HedgeQuantile,
-			HedgeMultiplier: cc.HedgeMultiplier,
-			HedgeRatio:      cc.HedgeRatio,
-			HedgeBurst:      cc.HedgeBurst,
-			Breakers:        breakers,
-			RequestTimeout:  cc.RequestTimeout,
-			PeerTimeout:     cc.PeerTimeout,
-			Logf:            cc.Logf,
-		}
-		every := cc.HealthEvery
-		if every <= 0 {
-			every = time.Second
+			Registry:       cs.reg,
+			Client:         httpClient,
+			StealAfter:     stealAfter,
+			Breakers:       breakers,
+			RequestTimeout: cc.RequestTimeout,
+			PeerTimeout:    cc.PeerTimeout,
+			Logf:           cc.Logf,
 		}
 		cs.swept.Add(1)
 		go func() {
 			defer cs.swept.Done()
-			t := time.NewTicker(every)
+			t := time.NewTicker(ttl / 10)
 			defer t.Stop()
 			for {
 				select {

@@ -20,8 +20,7 @@ func clusterTestConfig(role string) Config {
 	cfg.Defaults.Workloads = []string{"astar", "mix1"}
 	cfg.Role = role
 	cfg.Cluster = ClusterConfig{
-		TTL:         2 * time.Second,
-		HealthEvery: 25 * time.Millisecond,
+		TTL: 2 * time.Second,
 	}
 	return cfg
 }

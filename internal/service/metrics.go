@@ -59,7 +59,6 @@ type serviceMetrics struct {
 	clusterShardsPlaced   *obs.Counter
 	clusterShardsExecuted *obs.Counter
 	clusterRetries        *obs.Counter
-	clusterSteals         *obs.Counter
 	clusterPeerHits       *obs.Counter
 	clusterCacheHits      *obs.Counter
 	clusterCacheMisses    *obs.Counter
@@ -147,8 +146,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"Shards this worker executed for a coordinator."),
 		clusterRetries: reg.Counter("hmemd_cluster_retries_total",
 			"Shard dispatches retried on another worker after a transient failure."),
-		clusterSteals: reg.Counter("hmemd_cluster_steals_total",
-			"Duplicate dispatches launched against straggling workers (work stealing)."),
 		clusterPeerHits: reg.Counter("hmemd_cluster_peer_hits_total",
 			"Shards answered from a peer's result cache instead of dispatching."),
 		clusterCacheHits: reg.Counter("hmemd_cluster_cache_hits_total",
@@ -252,7 +249,6 @@ func (s *Service) syncMetrics() {
 			ss := cs.sched.Stats()
 			m.clusterShardsPlaced.Set(ss.Placed)
 			m.clusterRetries.Set(ss.Retries)
-			m.clusterSteals.Set(ss.Steals)
 			m.hedges.Set(ss.Hedges)
 			m.breakerSkips.Set(ss.BreakerSkips)
 			m.clusterPeerHits.Set(ss.PeerHits)

@@ -434,7 +434,7 @@ func (s *Service) freshCost(seen map[string]bool, digest, workloadName string, p
 // jobCost prices one experiment job: a flat multiple of the unit, since a
 // figure driver fans out to many evaluations.
 func (s *Service) jobCost(opts hmem.Options) float64 {
-	return s.adm.jobFactor * s.costUnit(opts)
+	return jobCostFactor * s.costUnit(opts)
 }
 
 // evaluatePolicies returns workloadName's encoded result under each policy,
