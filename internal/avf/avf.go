@@ -20,11 +20,10 @@
 // passed here as raw uint32 to keep this package import-free) and stores
 // per-page state in flat slices: the per-access path is array indexing, no
 // map operations, and no allocations once the footprint has been seen. Tiers
-// are dense small integers too — the tracker supports any tier count
-// (NewTrackerN) with per-tier ACE totals in flat [tier][pageIndex] slices,
-// so the N-tier generalization costs the hot path nothing. Page ids reappear
-// only at Snapshot time, when the caller provides the dense index→id
-// mapping.
+// are dense small integers too — the tracker supports any tier count with
+// per-tier ACE totals in flat [tier][pageIndex] slices, so the N-tier
+// generalization costs the hot path nothing. Page ids reappear only at
+// Snapshot time, when the caller provides the dense index→id mapping.
 package avf
 
 import (
@@ -35,31 +34,12 @@ import (
 	"hmem/internal/trace"
 )
 
-// Tier identifies one memory tier of the HMA by dense index. The index is
-// the position in the run's topology (core.Topology.Tiers); display names
-// come from the topology, with the two paper tiers below as the default.
+// Tier identifies one memory tier of the HMA by dense index: the position in
+// the run's topology (core.Topology.Tiers), which also owns the tier names.
 type Tier uint8
 
-// The two tiers of the paper's default configuration.
-const (
-	TierDDR Tier = iota // off-package, high-reliability (ChipKill)
-	TierHBM             // on-package, high-bandwidth, low-reliability (SEC-DED)
-	numTiers
-)
-
-// String returns the tier's name: the paper's names for the default pair,
-// and a stable "tier<N>" for any other index (topology-aware callers should
-// prefer the topology's display names).
-func (t Tier) String() string {
-	switch t {
-	case TierDDR:
-		return "DDR"
-	case TierHBM:
-		return "HBM"
-	default:
-		return "tier" + strconv.Itoa(int(t))
-	}
-}
+// String returns a stable "tier<N>"; the topology supplies display names.
+func (t Tier) String() string { return "tier" + strconv.Itoa(int(t)) }
 
 type pageState struct {
 	lastAccess [trace.LinesPerPage]int64
@@ -74,8 +54,8 @@ type pageState struct {
 }
 
 // Tracker accumulates ACE time for every page index it observes. The zero
-// value is not usable; construct with NewTracker (two tiers) or NewTrackerN.
-// Not safe for concurrent use.
+// value is not usable; construct with NewTracker. Not safe for concurrent
+// use.
 type Tracker struct {
 	pages []pageState // indexed by dense page index
 	// ace accumulates ACE cycles as flat [tier][pageIndex] slices — dense in
@@ -85,13 +65,8 @@ type Tracker struct {
 	observed int // entries with at least one access
 }
 
-// NewTracker returns an empty tracker over the paper's two tiers.
-func NewTracker() *Tracker {
-	return NewTrackerN(int(numTiers))
-}
-
-// NewTrackerN returns an empty tracker over tiers memory tiers.
-func NewTrackerN(tiers int) *Tracker {
+// NewTracker returns an empty tracker over tiers memory tiers.
+func NewTracker(tiers int) *Tracker {
 	if tiers < 1 || tiers > 256 {
 		panic("avf: tier count out of range")
 	}

@@ -8,6 +8,12 @@ import (
 	"hmem/internal/xrand"
 )
 
+// The default topology's tier indices (core.DefaultTopology).
+const (
+	tierDDR Tier = 0
+	tierHBM Tier = 1
+)
+
 // identityIDs is the dense index→page-id mapping for tests that use small
 // integers as both: index i is page id i.
 func identityIDs(n int) []uint64 {
@@ -25,9 +31,9 @@ func lineAVF(t *testing.T, total int64, events []struct {
 	write bool
 }) float64 {
 	t.Helper()
-	tr := NewTracker()
+	tr := NewTracker(2)
 	for _, e := range events {
-		tr.Access(0, 0, e.at, e.write, TierDDR)
+		tr.Access(0, 0, e.at, e.write, tierDDR)
 	}
 	snap := tr.Snapshot(total, identityIDs(1))
 	if len(snap) != 1 {
@@ -110,10 +116,10 @@ func TestWriteOnlyLineHasZeroAVF(t *testing.T) {
 }
 
 func TestPageAveragesLines(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(2)
 	// Line 0: fully ACE over [0,100]; other 63 lines untouched.
-	tr.Access(7, 0, 0, true, TierDDR)
-	tr.Access(7, 0, 100, false, TierDDR)
+	tr.Access(7, 0, 0, true, tierDDR)
+	tr.Access(7, 0, 100, false, tierDDR)
 	snap := tr.Snapshot(100, identityIDs(8))
 	want := 1.0 / 64
 	if math.Abs(snap[0].AVF-want) > 1e-12 {
@@ -122,19 +128,19 @@ func TestPageAveragesLines(t *testing.T) {
 }
 
 func TestTierAttribution(t *testing.T) {
-	tr := NewTracker()
-	tr.Access(1, 0, 0, true, TierHBM)    // interval starts in HBM
-	tr.Access(1, 0, 40, false, TierHBM)  // [0,40] ACE -> HBM
-	tr.MigratePage(1, TierDDR)           // move page to DDR
-	tr.Access(1, 0, 100, false, TierDDR) // [40,100] ACE -> DDR (start re-tagged)
+	tr := NewTracker(2)
+	tr.Access(1, 0, 0, true, tierHBM)    // interval starts in HBM
+	tr.Access(1, 0, 40, false, tierHBM)  // [0,40] ACE -> HBM
+	tr.MigratePage(1, tierDDR)           // move page to DDR
+	tr.Access(1, 0, 100, false, tierDDR) // [40,100] ACE -> DDR (start re-tagged)
 	snap := tr.Snapshot(160, identityIDs(2))
 	p := snap[0]
 	denominator := 64.0 * 160
-	if math.Abs(p.ByTier[TierHBM]-40/denominator) > 1e-12 {
-		t.Fatalf("HBM share = %v, want %v", p.ByTier[TierHBM], 40/denominator)
+	if math.Abs(p.ByTier[tierHBM]-40/denominator) > 1e-12 {
+		t.Fatalf("HBM share = %v, want %v", p.ByTier[tierHBM], 40/denominator)
 	}
-	if math.Abs(p.ByTier[TierDDR]-60/denominator) > 1e-12 {
-		t.Fatalf("DDR share = %v, want %v", p.ByTier[TierDDR], 60/denominator)
+	if math.Abs(p.ByTier[tierDDR]-60/denominator) > 1e-12 {
+		t.Fatalf("DDR share = %v, want %v", p.ByTier[tierDDR], 60/denominator)
 	}
 	if math.Abs(p.AVF-(p.ByTier[0]+p.ByTier[1])) > 1e-15 {
 		t.Fatal("tier shares must sum to page AVF")
@@ -142,18 +148,18 @@ func TestTierAttribution(t *testing.T) {
 }
 
 func TestMigrateUnknownPageIsNoop(t *testing.T) {
-	tr := NewTracker()
-	tr.MigratePage(99, TierHBM) // must not panic or create state
+	tr := NewTracker(2)
+	tr.MigratePage(99, tierHBM) // must not panic or create state
 	if tr.PageCount() != 0 {
 		t.Fatal("MigratePage created a page")
 	}
 }
 
 func TestAccessCountsTracked(t *testing.T) {
-	tr := NewTracker()
-	tr.Access(3, 1, 0, true, TierDDR)
-	tr.Access(3, 1, 5, false, TierDDR)
-	tr.Access(3, 2, 9, false, TierDDR)
+	tr := NewTracker(2)
+	tr.Access(3, 1, 0, true, tierDDR)
+	tr.Access(3, 1, 5, false, tierDDR)
+	tr.Access(3, 2, 9, false, tierDDR)
 	p := tr.Snapshot(10, identityIDs(4))[0]
 	if p.Reads != 2 || p.Writes != 1 {
 		t.Fatalf("counts = R%d/W%d, want R2/W1", p.Reads, p.Writes)
@@ -167,7 +173,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		NewTracker().Access(0, 64, 0, false, TierDDR)
+		NewTracker(2).Access(0, 64, 0, false, tierDDR)
 	})
 	t.Run("bad tier", func(t *testing.T) {
 		defer func() {
@@ -175,7 +181,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		NewTracker().Access(0, 0, 0, false, Tier(7))
+		NewTracker(2).Access(0, 0, 0, false, Tier(7))
 	})
 	t.Run("bad snapshot duration", func(t *testing.T) {
 		defer func() {
@@ -183,14 +189,14 @@ func TestPanicsOnBadInput(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		NewTracker().Snapshot(0, nil)
+		NewTracker(2).Snapshot(0, nil)
 	})
 }
 
 func TestAVFBoundsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
-		tr := NewTracker()
+		tr := NewTracker(2)
 		const total = 10000
 		n := 50 + rng.Intn(500)
 		// Per (page,line) we must feed non-decreasing times; use a global
@@ -226,10 +232,10 @@ func TestMoreWritesLowerAVFProperty(t *testing.T) {
 	// raising the write fraction lowers AVF.
 	avfFor := func(writeP float64) float64 {
 		rng := xrand.New(7)
-		tr := NewTracker()
+		tr := NewTracker(2)
 		const total = 100000
 		for at := int64(0); at < total; at += 50 {
-			tr.Access(0, int(rng.Uint64n(64)), at, rng.Bool(writeP), TierDDR)
+			tr.Access(0, int(rng.Uint64n(64)), at, rng.Bool(writeP), tierDDR)
 		}
 		return tr.Snapshot(total, identityIDs(1))[0].AVF
 	}
@@ -240,14 +246,14 @@ func TestMoreWritesLowerAVFProperty(t *testing.T) {
 }
 
 func TestMeanAVF(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(2)
 	if tr.MeanAVF(100, nil) != 0 {
 		t.Fatal("empty tracker mean must be 0")
 	}
 	// Page 0: line fully ACE; page 1: untouched except one dead write.
-	tr.Access(0, 0, 0, true, TierDDR)
-	tr.Access(0, 0, 100, false, TierDDR)
-	tr.Access(1, 0, 0, true, TierDDR)
+	tr.Access(0, 0, 0, true, tierDDR)
+	tr.Access(0, 0, 100, false, tierDDR)
+	tr.Access(1, 0, 0, true, tierDDR)
 	want := (1.0/64 + 0) / 2
 	if got := tr.MeanAVF(100, identityIDs(2)); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("MeanAVF = %v, want %v", got, want)
@@ -258,7 +264,7 @@ func TestMeanAVF(t *testing.T) {
 }
 
 func TestTierString(t *testing.T) {
-	if TierDDR.String() != "DDR" || TierHBM.String() != "HBM" {
+	if tierDDR.String() != "tier0" || tierHBM.String() != "tier1" {
 		t.Fatal("tier names wrong")
 	}
 	if Tier(9).String() != "tier9" {
@@ -267,26 +273,26 @@ func TestTierString(t *testing.T) {
 }
 
 func BenchmarkAccess(b *testing.B) {
-	tr := NewTracker()
+	tr := NewTracker(2)
 	rng := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Access(uint32(rng.Uint64n(1024)), int(rng.Uint64n(64)), int64(i), i&3 == 0, TierDDR)
+		tr.Access(uint32(rng.Uint64n(1024)), int(rng.Uint64n(64)), int64(i), i&3 == 0, tierDDR)
 	}
 }
 
 // TestAccessZeroAllocsWhenWarm checks the AVF unit's hot path: once a page
 // index is covered by the flat state array, Access never allocates.
 func TestAccessZeroAllocsWhenWarm(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(2)
 	for pi := uint32(0); pi < 64; pi++ {
-		tr.Access(pi, 0, int64(pi)+1, false, TierDDR)
+		tr.Access(pi, 0, int64(pi)+1, false, tierDDR)
 	}
 	now := int64(100)
 	pi := uint32(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		now++
-		tr.Access(pi, int(now)%64, now, now%3 == 0, TierDDR)
+		tr.Access(pi, int(now)%64, now, now%3 == 0, tierDDR)
 		pi = (pi + 1) % 64
 	})
 	if allocs != 0 {
@@ -299,10 +305,10 @@ func TestAccessZeroAllocsWhenWarm(t *testing.T) {
 // it — no panic, zero ACE charged for the inverted interval, and the line's
 // clock does not move backwards.
 func TestSkewedAccessClamps(t *testing.T) {
-	tr := NewTracker()
-	tr.Access(0, 0, 100, true, TierDDR)
-	tr.Access(0, 0, 90, false, TierDDR) // skewed read: clamped to cycle 100
-	tr.Access(0, 0, 160, false, TierDDR)
+	tr := NewTracker(2)
+	tr.Access(0, 0, 100, true, tierDDR)
+	tr.Access(0, 0, 90, false, tierDDR) // skewed read: clamped to cycle 100
+	tr.Access(0, 0, 160, false, tierDDR)
 	p := tr.Snapshot(160, identityIDs(1))[0]
 	want := 60.0 / (64.0 * 160) // only [100,160] is ACE
 	if math.Abs(p.AVF-want) > 1e-12 {

@@ -356,7 +356,7 @@ func TestHardwareCostMatchesPaper(t *testing.T) {
 }
 
 func TestSERModel(t *testing.T) {
-	m := SERModel{Fits: faultsim.TierFITs{DDRPerGB: 1, HBMPerGB: 100}}
+	m := SERModel{Fits: faultsim.TierFITs{PerGB: []float64{1, 100}}}
 	snap := []avf.PageAVF{
 		{Page: 1, AVF: 0.5, ByTier: []float64{0.5, 0}},   // all DDR
 		{Page: 2, AVF: 0.5, ByTier: []float64{0, 0.5}},   // all HBM
@@ -374,25 +374,6 @@ func TestSERModel(t *testing.T) {
 	}
 	if !(got > base) {
 		t.Fatal("placing AVF in HBM must raise SER")
-	}
-}
-
-func TestSERStatic(t *testing.T) {
-	m := SERModel{Fits: faultsim.TierFITs{DDRPerGB: 1, HBMPerGB: 10}}
-	stats := []PageStats{
-		{Page: 1, AVF: 0.5},
-		{Page: 2, AVF: 0.3},
-	}
-	inHBM := map[uint64]bool{2: true}
-	got := m.SERStatic(stats, inHBM)
-	want := (1*0.5 + 10*0.3) * pageGB
-	if math.Abs(got-want) > 1e-15 {
-		t.Fatalf("SERStatic = %v, want %v", got, want)
-	}
-	// Moving the high-AVF page in instead must be worse.
-	worse := m.SERStatic(stats, map[uint64]bool{1: true})
-	if !(worse > got) {
-		t.Fatal("placing higher-AVF page in HBM must raise SER")
 	}
 }
 

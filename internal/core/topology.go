@@ -155,27 +155,33 @@ func ParseTopology(data []byte) (*Topology, error) {
 	return &t, nil
 }
 
-// DefaultTopology returns the paper's Table 1 machine as a topology: tier 0
-// is off-package DDR3 with ChipKill, tier 1 on-package HBM with SEC-DED.
-// The tier order, fault seeds, and DDR-only allocation order are exactly the
-// values the pre-topology code hardwired, so the default topology reproduces
-// every figure and table byte-identically.
+// DefaultTopology returns the paper's Table 1 machine: HBMDDRTopology at
+// 1 GB of HBM and 16 GB of DDR, both divided by scaleDiv. It reproduces
+// every figure and table of the paper.
 func DefaultTopology(scaleDiv int) *Topology {
 	if scaleDiv < 1 {
 		scaleDiv = 1
 	}
+	return HBMDDRTopology(uint64(1<<30)/uint64(scaleDiv), uint64(16<<30)/uint64(scaleDiv))
+}
+
+// HBMDDRTopology returns the paper's two-tier machine with the given tier
+// capacities in bytes: tier 0 is off-package DDR3 with ChipKill, tier 1
+// on-package HBM with SEC-DED and the migration target. First touches
+// allocate in DDR only, never spilling into HBM.
+func HBMDDRTopology(hbmBytes, ddrBytes uint64) *Topology {
 	return &Topology{
 		Name: DefaultTopologyName,
 		Tiers: []TierDesc{
 			{
 				Name:      "DDR",
-				Mem:       memsim.DDR3(uint64(16<<30) / uint64(scaleDiv)),
+				Mem:       memsim.DDR3(ddrBytes),
 				Org:       faultsim.DDR3ChipKill(),
 				FaultSeed: 0xD0D0,
 			},
 			{
 				Name:      "HBM",
-				Mem:       memsim.HBM(uint64(1<<30) / uint64(scaleDiv)),
+				Mem:       memsim.HBM(hbmBytes),
 				Org:       faultsim.HBMSecDed(),
 				FaultSeed: 0x4B1D,
 			},

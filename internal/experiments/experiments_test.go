@@ -96,7 +96,7 @@ func TestFitsPlausible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio := fits.Ratio(); ratio < 50 || ratio > 5000 {
+	if ratio := fits.Of(r.Topology().FastTier) / fits.Of(0); ratio < 50 || ratio > 5000 {
 		t.Fatalf("tier FIT ratio %.0f implausible", ratio)
 	}
 	// Memoized: second call is identical.

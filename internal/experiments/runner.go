@@ -236,11 +236,7 @@ func (r *Runner) Fits(ctx context.Context) (faultsim.TierFITs, error) {
 			}
 			per[i] = res.UncFITPerGB
 		}
-		return faultsim.TierFITs{
-			DDRPerGB: per[0],
-			HBMPerGB: per[r.topo.FastTier],
-			PerGB:    per,
-		}, nil
+		return faultsim.TierFITs{PerGB: per}, nil
 	})
 }
 
@@ -263,14 +259,13 @@ func (r *Runner) runStudy(ctx context.Context, tier int, study *faultsim.Study) 
 	return study.RunCtx(ctx, r.opts.FaultTrials)
 }
 
-// SERModel returns the SER scorer backed by the fault studies, with the
-// topology's fast tier installed for static scoring.
+// SERModel returns the SER scorer backed by the fault studies.
 func (r *Runner) SERModel(ctx context.Context) (core.SERModel, error) {
 	fits, err := r.Fits(ctx)
 	if err != nil {
 		return core.SERModel{}, err
 	}
-	return core.SERModel{Fits: fits, Fast: r.topo.FastTier}, nil
+	return core.SERModel{Fits: fits}, nil
 }
 
 // CacheStats aggregates the hit/miss counters of the runner's three memo

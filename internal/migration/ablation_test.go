@@ -9,7 +9,7 @@ import (
 
 func TestCCBlacklistBlocksReadmission(t *testing.T) {
 	cc := NewCrossCounter(1000, 1, 8) // every tick is an epoch
-	placement := sim.NewPlacement(4, 64)
+	placement := sim.NewPlacement(core.HBMDDRTopology(4<<12, 64<<12))
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCCBlacklistBlocksReadmission(t *testing.T) {
 func TestCCBlacklistDisabled(t *testing.T) {
 	cc := NewCrossCounter(1000, 1, 8)
 	cc.SetBlockEpochs(0)
-	placement := sim.NewPlacement(4, 64)
+	placement := sim.NewPlacement(core.HBMDDRTopology(4<<12, 64<<12))
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCCEvictHysteresis(t *testing.T) {
 	build := func(factor float64) []uint64 {
 		cc := NewCrossCounter(1000, 1, 8)
 		cc.SetEvictHysteresis(factor)
-		placement := sim.NewPlacement(8, 64)
+		placement := sim.NewPlacement(core.HBMDDRTopology(8<<12, 64<<12))
 		// Four residents with slightly different but uniformly writey mixes.
 		for i, w := range []int{40, 42, 44, 46} {
 			page := uint64(100 + i)

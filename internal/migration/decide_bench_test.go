@@ -3,13 +3,14 @@ package migration
 import (
 	"testing"
 
+	"hmem/internal/core"
 	"hmem/internal/sim"
 )
 
 // benchDecide measures one interval turnover for a mechanism: feeding a
 // working set of accesses and taking the migration decision.
 func benchDecide(b *testing.B, mig sim.Migrator) {
-	placement := sim.NewPlacement(256, 8192)
+	placement := sim.NewPlacement(core.HBMDDRTopology(256<<12, 8192<<12))
 	mig.Bind(placement.PageTable())
 	const pages = 2048
 	for pg := uint64(0); pg < pages; pg++ {

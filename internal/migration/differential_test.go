@@ -419,8 +419,7 @@ func diffTrace(seed uint64, cores, records int) [][]trace.Record {
 func diffRun(t *testing.T, recs [][]trace.Record, mig *decisionRecorder) sim.Result {
 	t.Helper()
 	cfg := sim.Config{
-		HBM:            memsim.HBM(256 << 10), // 64 pages: far smaller than the working set
-		DDR:            memsim.DDR3(16 << 20),
+		Topology:       core.HBMDDRTopology(256<<10, 16<<20), // 64 pages: far smaller than the working set
 		IssueWidth:     4,
 		MaxOutstanding: 8,
 	}

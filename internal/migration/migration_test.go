@@ -3,15 +3,14 @@ package migration
 import (
 	"testing"
 
-	"hmem/internal/memsim"
+	"hmem/internal/core"
 	"hmem/internal/sim"
 	"hmem/internal/workload"
 )
 
 func simConfig() sim.Config {
 	return sim.Config{
-		HBM:            memsim.HBM(4 << 20),
-		DDR:            memsim.DDR3(512 << 20),
+		Topology:       core.HBMDDRTopology(4<<20, 512<<20),
 		IssueWidth:     4,
 		MaxOutstanding: 8,
 	}
@@ -32,7 +31,7 @@ func feed(m sim.Migrator, placement *sim.Placement, page uint64, reads, writes i
 
 func TestPerfMigratorSwapsHotForCold(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewPlacement(2, 16)
+	placement := sim.NewPlacement(core.HBMDDRTopology(2<<12, 16<<12))
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestPerfMigratorSwapsHotForCold(t *testing.T) {
 
 func TestPerfMigratorEvictsUntouchedResidents(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewPlacement(2, 16)
+	placement := sim.NewPlacement(core.HBMDDRTopology(2<<12, 16<<12))
 	if err := placement.Preplace([]uint64{100}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestPerfMigratorEvictsUntouchedResidents(t *testing.T) {
 
 func TestPerfMigratorCountersResetEachInterval(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewPlacement(2, 16)
+	placement := sim.NewPlacement(core.HBMDDRTopology(2<<12, 16<<12))
 	placement.Lookup(5)
 	feed(p, placement, 5, 10, 0, false)
 	p.Decide(1000, placement)
@@ -88,7 +87,7 @@ func TestPerfMigratorCountersResetEachInterval(t *testing.T) {
 
 func TestPerfMigratorRespectsCapacityBudget(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewPlacement(2, 64)
+	placement := sim.NewPlacement(core.HBMDDRTopology(2<<12, 64<<12))
 	// 10 hot DDR pages, empty HBM with 2 frames: at most 2 come in.
 	for pg := uint64(0); pg < 10; pg++ {
 		placement.Lookup(pg)
@@ -102,7 +101,7 @@ func TestPerfMigratorRespectsCapacityBudget(t *testing.T) {
 
 func TestFullCounterKeepsHotLowRisk(t *testing.T) {
 	f := NewFullCounter(1000)
-	placement := sim.NewPlacement(4, 64)
+	placement := sim.NewPlacement(core.HBMDDRTopology(4<<12, 64<<12))
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestFullCounterKeepsHotLowRisk(t *testing.T) {
 
 func TestCrossCounterMEADrivesInMigrations(t *testing.T) {
 	cc := NewCrossCounter(1000, 4, 8)
-	placement := sim.NewPlacement(4, 64)
+	placement := sim.NewPlacement(core.HBMDDRTopology(4<<12, 64<<12))
 	placement.Lookup(5)
 	cc.Bind(placement.PageTable())
 	pi5 := placement.PageTable().Intern(5)
@@ -151,7 +150,7 @@ func TestCrossCounterMEADrivesInMigrations(t *testing.T) {
 
 func TestCrossCounterRiskEpochFlushesHighRisk(t *testing.T) {
 	cc := NewCrossCounter(1000, 2, 8)
-	placement := sim.NewPlacement(4, 64)
+	placement := sim.NewPlacement(core.HBMDDRTopology(4<<12, 64<<12))
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"hmem/internal/memsim"
+	"hmem/internal/core"
 	"hmem/internal/obs"
 	"hmem/internal/sim"
 	"hmem/internal/trace"
@@ -21,8 +21,7 @@ import (
 func diffRunCtx(t *testing.T, ctx context.Context, recs [][]trace.Record, mig *decisionRecorder) sim.Result {
 	t.Helper()
 	cfg := sim.Config{
-		HBM:            memsim.HBM(256 << 10),
-		DDR:            memsim.DDR3(16 << 20),
+		Topology:       core.HBMDDRTopology(256<<10, 16<<20),
 		IssueWidth:     4,
 		MaxOutstanding: 8,
 	}

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"hmem/internal/avf"
+	"hmem/internal/core"
 )
 
 // BenchmarkPlacementLookupIndex measures the warm page-location lookup on
 // the flat flags/frame arrays.
 func BenchmarkPlacementLookupIndex(b *testing.B) {
-	p := NewPlacement(1024, 16384)
+	p := NewPlacement(core.HBMDDRTopology(1024<<12, 16384<<12))
 	const pages = 8192
 	for pg := uint64(0); pg < pages; pg++ {
 		p.Lookup(pg)
@@ -26,8 +27,8 @@ func BenchmarkPlacementLookupIndex(b *testing.B) {
 // simulator core executes for one trace record (excluding the DRAM timing
 // model): intern, placement lookup, AVF tracking, interval hotness.
 func BenchmarkPerAccessPath(b *testing.B) {
-	p := NewPlacement(1024, 16384)
-	tracker := avf.NewTracker()
+	p := NewPlacement(core.HBMDDRTopology(1024<<12, 16384<<12))
+	tracker := avf.NewTracker(2)
 	iv := newIntervalState()
 	const pages = 8192
 	var now int64
@@ -36,7 +37,7 @@ func BenchmarkPerAccessPath(b *testing.B) {
 		tier, _, _ := p.LookupIndex(pi)
 		now++
 		tracker.Access(uint32(pi), int(pg%64), now, false, tier)
-		iv.observe(pi, false, tier == avf.TierHBM)
+		iv.observe(pi, false, tier == tierHBM)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -47,7 +48,7 @@ func BenchmarkPerAccessPath(b *testing.B) {
 		now++
 		write := i%3 == 0
 		tracker.Access(uint32(pi), int(pg%64), now, write, tier)
-		iv.observe(pi, write, tier == avf.TierHBM)
+		iv.observe(pi, write, tier == tierHBM)
 	}
 }
 
@@ -56,8 +57,8 @@ func BenchmarkPerAccessPath(b *testing.B) {
 // attribution, and the RecordWrite wear path. Gated alongside the two-tier
 // bench to keep the topology generalization honest.
 func BenchmarkPerAccessPathThreeTier(b *testing.B) {
-	p := NewTopologyPlacement(threeTierTopo(16384, 4096, 1024))
-	tracker := avf.NewTrackerN(p.NumTiers())
+	p := NewPlacement(threeTierTopo(16384, 4096, 1024))
+	tracker := avf.NewTracker(p.NumTiers())
 	iv := newIntervalState()
 	fast := avf.Tier(p.FastTier())
 	const pages = 8192

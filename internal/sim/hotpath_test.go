@@ -16,8 +16,8 @@ import (
 // tracking, interval hotness tracking).
 func TestPerAccessPathZeroAllocs(t *testing.T) {
 	const pages = 256
-	p := NewPlacement(32, 1024)
-	tracker := avf.NewTracker()
+	p := NewPlacement(core.HBMDDRTopology(32<<12, 1024<<12))
+	tracker := avf.NewTracker(2)
 	iv := newIntervalState()
 
 	// Warm: intern the working set, touch every structure so backing
@@ -31,7 +31,7 @@ func TestPerAccessPathZeroAllocs(t *testing.T) {
 			now++
 			write := pg%3 == 0
 			tracker.Access(uint32(pi), int(pg%64), now, write, tier)
-			iv.observe(pi, write, tier == avf.TierHBM)
+			iv.observe(pi, write, tier == tierHBM)
 		}
 	}
 	touch()
@@ -44,7 +44,7 @@ func TestPerAccessPathZeroAllocs(t *testing.T) {
 		tier, _, _ := p.LookupIndex(pi)
 		now++
 		tracker.Access(uint32(pi), int(pg%64), now, pg%3 == 0, tier)
-		iv.observe(pi, pg%3 == 0, tier == avf.TierHBM)
+		iv.observe(pi, pg%3 == 0, tier == tierHBM)
 		pg = (pg + 1) % pages
 	})
 	if allocs != 0 {
@@ -68,8 +68,8 @@ func TestObsDisabledAddsZeroAllocs(t *testing.T) {
 	var epochSpan *obs.Span
 
 	const pages = 256
-	p := NewPlacement(32, 1024)
-	tracker := avf.NewTracker()
+	p := NewPlacement(core.HBMDDRTopology(32<<12, 1024<<12))
+	tracker := avf.NewTracker(2)
 	iv := newIntervalState()
 	var now int64
 	touch := func() {
@@ -79,7 +79,7 @@ func TestObsDisabledAddsZeroAllocs(t *testing.T) {
 			now++
 			write := pg%3 == 0
 			tracker.Access(uint32(pi), int(pg%64), now, write, tier)
-			iv.observe(pi, write, tier == avf.TierHBM)
+			iv.observe(pi, write, tier == tierHBM)
 		}
 	}
 	touch()
@@ -103,7 +103,7 @@ func TestObsDisabledAddsZeroAllocs(t *testing.T) {
 		tier, _, _ := p.LookupIndex(pi)
 		now++
 		tracker.Access(uint32(pi), int(pg%64), now, pg%3 == 0, tier)
-		iv.observe(pi, pg%3 == 0, tier == avf.TierHBM)
+		iv.observe(pi, pg%3 == 0, tier == tierHBM)
 		pg = (pg + 1) % pages
 	})
 	if allocs != 0 {

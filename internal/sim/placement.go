@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -62,44 +61,25 @@ type Placement struct {
 	migrations uint64
 }
 
-// NewPlacement builds a page table over the paper's two tiers (tier 0 DDR,
-// tier 1 HBM) with the given capacities in pages — the pre-topology
-// constructor, kept as the two-tier fast path for direct sim users.
-func NewPlacement(hbmPages, ddrPages uint64) *Placement {
-	return newPlacement(
-		[]string{"DDR", "HBM"},
-		[]uint64{ddrPages, hbmPages},
-		[]uint64{0, 0},
-		[]int{0}, 1)
-}
-
-// NewTopologyPlacement builds a page table over a validated topology.
-func NewTopologyPlacement(topo *core.Topology) *Placement {
-	names := make([]string, len(topo.Tiers))
-	capacity := make([]uint64, len(topo.Tiers))
-	budget := make([]uint64, len(topo.Tiers))
-	for i, td := range topo.Tiers {
-		names[i] = td.Name
-		capacity[i] = td.Mem.Pages()
-		budget[i] = td.WriteBudget
-	}
-	order := append([]int(nil), topo.AllocOrder...)
-	return newPlacement(names, capacity, budget, order, topo.FastTier)
-}
-
-func newPlacement(names []string, capacity, budget []uint64, allocOrder []int, fast int) *Placement {
+// NewPlacement builds a page table over a validated topology.
+func NewPlacement(topo *core.Topology) *Placement {
+	n := len(topo.Tiers)
 	p := &Placement{
 		pt:         core.NewPageTable(),
-		names:      names,
-		capacity:   capacity,
-		allocOrder: allocOrder,
-		fast:       fast,
-		free:       make([][]uint64, len(capacity)),
-		resident:   make([]int, len(capacity)),
-		budget:     budget,
-		wear:       make([][]uint32, len(capacity)),
+		names:      make([]string, n),
+		capacity:   make([]uint64, n),
+		allocOrder: append([]int(nil), topo.AllocOrder...),
+		fast:       topo.FastTier,
+		free:       make([][]uint64, n),
+		resident:   make([]int, n),
+		budget:     make([]uint64, n),
+		wear:       make([][]uint32, n),
 	}
-	for t, pages := range capacity {
+	for t, td := range topo.Tiers {
+		pages := td.Mem.Pages()
+		p.names[t] = td.Name
+		p.capacity[t] = pages
+		p.budget[t] = td.WriteBudget
 		// Free lists hand out frames in descending order so frame 0 is used
 		// first (pop from the tail).
 		fl := make([]uint64, pages)
@@ -107,7 +87,7 @@ func newPlacement(names []string, capacity, budget []uint64, allocOrder []int, f
 			fl[i] = pages - 1 - uint64(i)
 		}
 		p.free[t] = fl
-		if budget[t] > 0 {
+		if td.WriteBudget > 0 {
 			p.wear[t] = make([]uint32, pages)
 			p.hasWear = true
 		}
@@ -205,40 +185,30 @@ func (p *Placement) Intern(page uint64) core.PageIndex {
 	return pi
 }
 
-// ErrDDRExhausted reports that a run's footprint outgrew the allocation
-// tiers — a workload/configuration mismatch. It is returned (not panicked)
-// so a misconfigured request fails one evaluation, not the process hosting
-// it. Topology-aware callers can errors.As into *ErrTierExhausted for the
-// overflowing tier; errors.Is against this sentinel keeps working.
-var ErrDDRExhausted = errors.New("sim: DDR capacity exhausted")
-
-// ErrTierExhausted reports which tier ran out of frames on a first-touch
-// allocation after the whole allocation order was tried. It matches
-// ErrDDRExhausted under errors.Is — exhaustion of the allocation chain is
-// the same terminal condition the two-tier code signalled with the sentinel.
+// ErrTierExhausted reports that a run's footprint outgrew the allocation
+// tiers — a workload/configuration mismatch — naming the last tier of the
+// allocation order, which ran out of frames on a first-touch allocation. It
+// is returned (not panicked) so a misconfigured request fails one
+// evaluation, not the process hosting it.
 type ErrTierExhausted struct {
 	Tier     int    // tier index of the last allocation candidate
 	Name     string // its display name
 	Capacity uint64 // its size in pages
 }
 
-// Error renders the same shape the two-tier sentinel path produced
-// ("sim: DDR capacity exhausted (N pages)" for the default topology).
+// Error renders "sim: <tier> capacity exhausted (N pages)".
 func (e *ErrTierExhausted) Error() string {
 	return fmt.Sprintf("sim: %s capacity exhausted (%d pages)", e.Name, e.Capacity)
 }
 
-// Is reports equivalence to the legacy ErrDDRExhausted sentinel.
-func (e *ErrTierExhausted) Is(target error) bool { return target == ErrDDRExhausted }
-
 // LookupIndex returns the tier and frame of the page interned at pi,
 // allocating a frame on first touch following the topology's allocation
 // order and spilling to the next tier when one is full. If every allocation
-// tier is out of frames it returns *ErrTierExhausted (matching
-// ErrDDRExhausted under errors.Is) — a configuration error, since
-// experiments size the allocation tiers to hold every footprint. The error
-// path is cold; the steady-state lookup stays allocation-free. The index
-// must come from this placement's Intern (or PageTable).
+// tier is out of frames it returns *ErrTierExhausted — a configuration
+// error, since experiments size the allocation tiers to hold every
+// footprint. The error path is cold; the steady-state lookup stays
+// allocation-free. The index must come from this placement's Intern (or
+// PageTable).
 func (p *Placement) LookupIndex(pi core.PageIndex) (avf.Tier, uint64, error) {
 	i := int(pi)
 	if i >= len(p.flags) {

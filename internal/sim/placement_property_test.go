@@ -7,7 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"hmem/internal/avf"
+	"hmem/internal/core"
 	"hmem/internal/xrand"
 )
 
@@ -31,7 +31,7 @@ func churnProperty(seed uint64) error {
 	const hbmCap = 8
 	const ddrCap = 64
 	const pages = 48
-	p := NewPlacement(hbmCap, ddrCap)
+	p := NewPlacement(core.HBMDDRTopology(hbmCap<<12, ddrCap<<12))
 
 	// Preplace a few pages, pin half of them.
 	var pinned []uint64
@@ -79,7 +79,7 @@ func churnProperty(seed uint64) error {
 				return fmt.Errorf("step %d: frame %d aliased in tier %v", step, frame, tier)
 			}
 			seenFrames[key] = true
-			if (tier == avf.TierHBM) != p.InHBM(pg) {
+			if (tier == tierHBM) != p.InHBM(pg) {
 				return fmt.Errorf("step %d: page %d tier disagrees with InHBM", step, pg)
 			}
 		}
@@ -138,7 +138,7 @@ func TestPlacementInvariantsUnderRandomChurn(t *testing.T) {
 // always sum to capacity.
 func TestPlacementConservation(t *testing.T) {
 	rng := xrand.New(5)
-	p := NewPlacement(16, 128)
+	p := NewPlacement(core.HBMDDRTopology(16<<12, 128<<12))
 	for i := uint64(0); i < 100; i++ {
 		p.Lookup(i)
 	}

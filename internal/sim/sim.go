@@ -38,13 +38,8 @@ type Migrator interface {
 
 // Config parameterizes a run.
 type Config struct {
-	// HBM and DDR are the tier configurations (Table 1, possibly scaled).
-	// They are ignored when Topology is set.
-	HBM, DDR memsim.Config
-	// Topology, when non-nil, replaces the HBM/DDR pair with an N-tier
-	// machine: tier timings, capacities, allocation order, and the fast
-	// (migration-target) tier all come from the topology. Nil keeps the
-	// paper's two-tier default (tier 0 = DDR, tier 1 = HBM).
+	// Topology is the simulated machine: tier timings, capacities,
+	// allocation order, and the fast (migration-target) tier. Required.
 	Topology *core.Topology
 	// IssueWidth is the non-memory IPC ceiling (Table 1: 4-wide).
 	IssueWidth int
@@ -72,8 +67,7 @@ func DefaultConfig(scaleDiv int) Config {
 		scaleDiv = 1
 	}
 	return Config{
-		HBM:               memsim.HBM(uint64(1<<30) / uint64(scaleDiv)),
-		DDR:               memsim.DDR3(uint64(16<<30) / uint64(scaleDiv)),
+		Topology:          core.DefaultTopology(scaleDiv),
 		IssueWidth:        4,
 		MaxOutstanding:    8,
 		WriteBufferCycles: 512,
@@ -85,17 +79,11 @@ func DefaultConfig(scaleDiv int) Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Topology != nil {
-		if err := c.Topology.Validate(); err != nil {
-			return err
-		}
-	} else {
-		if err := c.HBM.Validate(); err != nil {
-			return err
-		}
-		if err := c.DDR.Validate(); err != nil {
-			return err
-		}
+	if c.Topology == nil {
+		return errors.New("sim: Config.Topology is required")
+	}
+	if err := c.Topology.Validate(); err != nil {
+		return err
 	}
 	if c.IssueWidth <= 0 {
 		return fmt.Errorf("sim: IssueWidth must be positive")
@@ -106,27 +94,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// tierConfigs returns the per-tier memsim configurations in tier order plus
-// the fast-tier index — [DDR, HBM] and 1 when no topology is installed.
-func (c Config) tierConfigs() ([]memsim.Config, int) {
-	if c.Topology != nil {
-		out := make([]memsim.Config, len(c.Topology.Tiers))
-		for i, td := range c.Topology.Tiers {
-			out[i] = td.Mem
-		}
-		return out, c.Topology.FastTier
-	}
-	return []memsim.Config{c.DDR, c.HBM}, 1
-}
-
 // FastPages returns the fast (migration-target) tier's capacity in pages —
 // the budget placement policies select against.
-func (c Config) FastPages() uint64 {
-	if c.Topology != nil {
-		return c.Topology.FastPages()
-	}
-	return c.HBM.Pages()
-}
+func (c Config) FastPages() uint64 { return c.Topology.FastPages() }
 
 // IntervalSample is one measurement-interval snapshot (taken at migration
 // interval boundaries when a migrator is installed).
@@ -163,11 +133,9 @@ type Result struct {
 	// PagesMigrated counts migrated pages; MigrationPauses the stalls paid.
 	PagesMigrated   uint64
 	MigrationPauses int64
-	// HBMStats and DDRStats expose the fast tier's and tier 0's memory
-	// controller counters (the two tiers of the default topology);
-	// TierStats carries every tier's counters in tier order.
-	HBMStats, DDRStats memsim.Stats
-	TierStats          []memsim.Stats
+	// TierStats carries every tier's memory controller counters in tier
+	// order.
+	TierStats []memsim.Stats
 	// Reads and Writes count memory requests issued.
 	Reads, Writes uint64
 	// HBMAccessFraction is the share of requests served by the fast tier.
@@ -295,23 +263,18 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		}()
 	}
 
-	tierCfgs, fast := cfg.tierConfigs()
-	mems := make([]*memsim.Memory, len(tierCfgs))
-	for i, tc := range tierCfgs {
-		mems[i] = memsim.New(tc)
+	tiers := cfg.Topology.Tiers
+	mems := make([]*memsim.Memory, len(tiers))
+	for i, td := range tiers {
+		mems[i] = memsim.New(td.Mem)
 	}
-	fastTier := avf.Tier(fast)
-	var placement *Placement
-	if cfg.Topology != nil {
-		placement = NewTopologyPlacement(cfg.Topology)
-	} else {
-		placement = NewPlacement(cfg.HBM.Pages(), cfg.DDR.Pages())
-	}
+	fastTier := avf.Tier(cfg.Topology.FastTier)
+	placement := NewPlacement(cfg.Topology)
 	if err := placement.Preplace(initialHBM, pin); err != nil {
 		return Result{}, err
 	}
 	pt := placement.PageTable()
-	tracker := avf.NewTrackerN(len(tierCfgs))
+	tracker := avf.NewTracker(len(tiers))
 
 	cores := make([]*coreState, len(streams))
 	for i, s := range streams {
@@ -469,8 +432,6 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 	for i, m := range mems {
 		res.TierStats[i] = m.Stats()
 	}
-	res.HBMStats = res.TierStats[fast]
-	res.DDRStats = res.TierStats[0]
 	res.Endurance = placement.Endurance()
 	if total := res.Reads + res.Writes; total > 0 {
 		res.HBMAccessFraction /= float64(total)

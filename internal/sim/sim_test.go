@@ -6,29 +6,34 @@ import (
 
 	"hmem/internal/avf"
 	"hmem/internal/core"
-	"hmem/internal/memsim"
 	"hmem/internal/trace"
 	"hmem/internal/workload"
 )
 
 func testConfig() Config {
 	return Config{
-		HBM:            memsim.HBM(4 << 20),    // 4 MiB = 1024 pages
-		DDR:            memsim.DDR3(512 << 20), // 512 MiB = 131072 pages
+		// 4 MiB HBM = 1024 pages, 512 MiB DDR = 131072 pages.
+		Topology:       core.HBMDDRTopology(4<<20, 512<<20),
 		IssueWidth:     4,
 		MaxOutstanding: 8,
 	}
 }
 
+// Tier indices of the HBM/DDR topology.
+const (
+	tierDDR avf.Tier = 0
+	tierHBM avf.Tier = 1
+)
+
 // ---- Placement unit tests ---------------------------------------------------
 
 func TestPlacementFirstTouchGoesToDDR(t *testing.T) {
-	p := NewPlacement(4, 8)
+	p := NewPlacement(core.HBMDDRTopology(4<<12, 8<<12))
 	tier, frame, err := p.Lookup(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tier != avf.TierDDR {
+	if tier != tierDDR {
 		t.Fatalf("first touch tier = %v", tier)
 	}
 	if frame >= 8 {
@@ -45,7 +50,7 @@ func TestPlacementFirstTouchGoesToDDR(t *testing.T) {
 }
 
 func TestPlacementPreplace(t *testing.T) {
-	p := NewPlacement(2, 8)
+	p := NewPlacement(core.HBMDDRTopology(2<<12, 8<<12))
 	if err := p.Preplace([]uint64{5, 6}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +72,14 @@ func TestPlacementPreplace(t *testing.T) {
 }
 
 func TestPlacementFramesUnique(t *testing.T) {
-	p := NewPlacement(8, 64)
+	p := NewPlacement(core.HBMDDRTopology(8<<12, 64<<12))
 	seen := map[uint64]bool{}
 	for page := uint64(0); page < 64; page++ {
 		tier, frame, err := p.Lookup(page)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tier != avf.TierDDR {
+		if tier != tierDDR {
 			t.Fatal("expected DDR")
 		}
 		if seen[frame] {
@@ -85,13 +90,24 @@ func TestPlacementFramesUnique(t *testing.T) {
 }
 
 func TestPlacementDDRExhaustionReturnsError(t *testing.T) {
-	p := NewPlacement(1, 1)
+	p := NewPlacement(core.HBMDDRTopology(1<<12, 1<<12))
 	if _, _, err := p.Lookup(0); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := p.Lookup(1)
-	if !errors.Is(err, ErrDDRExhausted) {
-		t.Fatalf("err = %v, want ErrDDRExhausted", err)
+	assertDDRExhausted(t, err, 1)
+}
+
+// assertDDRExhausted checks err reports the HBM/DDR topology's DDR tier
+// (tier 0) out of frames at the given capacity in pages.
+func assertDDRExhausted(t *testing.T, err error, capacity uint64) {
+	t.Helper()
+	var te *ErrTierExhausted
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v, want *ErrTierExhausted", err)
+	}
+	if te.Tier != 0 || te.Name != "DDR" || te.Capacity != capacity {
+		t.Fatalf("ErrTierExhausted = %+v, want tier 0 DDR capacity %d", te, capacity)
 	}
 }
 
@@ -101,7 +117,7 @@ func TestPlacementDDRExhaustionReturnsError(t *testing.T) {
 // rather than the process hosting it.
 func TestRunSurfacesDDRExhaustion(t *testing.T) {
 	cfg := testConfig()
-	cfg.DDR = memsim.DDR3(64 << 12) // 64 pages — far below any footprint
+	cfg.Topology = core.HBMDDRTopology(4<<20, 64<<12) // 64 DDR pages — far below any footprint
 	prof, err := workload.Lookup("astar")
 	if err != nil {
 		t.Fatal(err)
@@ -111,13 +127,11 @@ func TestRunSurfacesDDRExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Run(cfg, []trace.Stream{g}, nil, false, nil)
-	if !errors.Is(err, ErrDDRExhausted) {
-		t.Fatalf("Run err = %v, want ErrDDRExhausted", err)
-	}
+	assertDDRExhausted(t, err, 64)
 }
 
 func TestMigrateSwapsAndRespectsPins(t *testing.T) {
-	p := NewPlacement(2, 8)
+	p := NewPlacement(core.HBMDDRTopology(2<<12, 8<<12))
 	if err := p.Preplace([]uint64{10}, true); err != nil { // pinned
 		t.Fatal(err)
 	}
@@ -154,7 +168,7 @@ func TestMigrateSwapsAndRespectsPins(t *testing.T) {
 }
 
 func TestMigrateIgnoresBogusRequests(t *testing.T) {
-	p := NewPlacement(2, 8)
+	p := NewPlacement(core.HBMDDRTopology(2<<12, 8<<12))
 	p.Lookup(1) // in DDR
 	// Evicting a DDR page or inserting an HBM-resident page is a no-op.
 	if moved := p.Migrate(nil, []uint64{1, 999}); moved != 0 {
@@ -233,7 +247,7 @@ func TestHotPlacementImprovesIPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := core.PerfFocused{}.Select(base.Stats(), int(cfg.HBM.Pages()))
+	hot := core.PerfFocused{}.Select(base.Stats(), int(cfg.FastPages()))
 
 	suite2 := buildSuite(t, "mcf", 4000)
 	placed, err := Run(cfg, suite2.Streams(), hot, false, nil)
@@ -382,20 +396,33 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDefaultConfigScales(t *testing.T) {
-	full := DefaultConfig(1)
-	if full.HBM.CapacityBytes != 1<<30 || full.DDR.CapacityBytes != 16<<30 {
-		t.Fatalf("full scale wrong: %+v", full)
+	// capacities returns the HBM and DDR tier sizes in bytes.
+	capacities := func(c Config) (hbm, ddr uint64) {
+		return c.Topology.Tiers[c.Topology.FastTier].Mem.CapacityBytes, c.Topology.Tiers[0].Mem.CapacityBytes
 	}
-	scaled := DefaultConfig(64)
-	if scaled.HBM.CapacityBytes != 16<<20 || scaled.DDR.CapacityBytes != 256<<20 {
-		t.Fatalf("scaled wrong: %d, %d", scaled.HBM.CapacityBytes, scaled.DDR.CapacityBytes)
+	if hbm, ddr := capacities(DefaultConfig(1)); hbm != 1<<30 || ddr != 16<<30 {
+		t.Fatalf("full scale wrong: %d, %d", hbm, ddr)
 	}
-	if DefaultConfig(0).HBM.CapacityBytes != 1<<30 {
+	hbm, ddr := capacities(DefaultConfig(64))
+	if hbm != 16<<20 || ddr != 256<<20 {
+		t.Fatalf("scaled wrong: %d, %d", hbm, ddr)
+	}
+	if h, _ := capacities(DefaultConfig(0)); h != 1<<30 {
 		t.Fatal("scaleDiv<1 must clamp to 1")
 	}
-	ratio := float64(scaled.DDR.CapacityBytes) / float64(scaled.HBM.CapacityBytes)
+	ratio := float64(ddr) / float64(hbm)
 	if ratio != 16 {
 		t.Fatalf("capacity ratio = %v, want 16", ratio)
+	}
+	// The topology is required: a config without one is rejected by
+	// Validate, and Run reports the error instead of panicking.
+	cfg := DefaultConfig(64)
+	cfg.Topology = nil
+	if cfg.Validate() == nil {
+		t.Fatal("nil Topology accepted")
+	}
+	if _, err := Run(cfg, []trace.Stream{trace.NewSliceStream(nil)}, nil, false, nil); err == nil {
+		t.Fatal("Run accepted a nil Topology")
 	}
 }
 

@@ -31,14 +31,13 @@ func threeTierTopo(nvmPages, dramPages, hbmPages uint64) *core.Topology {
 
 // TestPlacementSpillsAcrossTiers verifies the N-tier first-touch semantics:
 // allocation follows AllocOrder, spills when a tier runs out of frames, and
-// exhaustion of the whole chain reports the typed error that still matches
-// the legacy sentinel.
+// exhaustion of the whole chain reports the typed error.
 func TestPlacementSpillsAcrossTiers(t *testing.T) {
 	topo := threeTierTopo(8, 4, 2)
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p := NewTopologyPlacement(topo)
+	p := NewPlacement(topo)
 
 	for pg := uint64(0); pg < 12; pg++ {
 		tier, _, err := p.Lookup(pg)
@@ -61,13 +60,10 @@ func TestPlacementSpillsAcrossTiers(t *testing.T) {
 	}
 
 	// Both allocation tiers are full; the next first touch must fail with
-	// the typed error AND keep matching the legacy sentinel.
+	// the typed error.
 	_, _, err := p.Lookup(99)
 	if err == nil {
 		t.Fatal("allocation past capacity succeeded")
-	}
-	if !errors.Is(err, ErrDDRExhausted) {
-		t.Fatalf("exhaustion error %v does not match ErrDDRExhausted", err)
 	}
 	var te *ErrTierExhausted
 	if !errors.As(err, &te) {
@@ -86,7 +82,7 @@ func TestPlacementSpillsAcrossTiers(t *testing.T) {
 // counts frames at or past the budget.
 func TestPlacementEndurance(t *testing.T) {
 	topo := threeTierTopo(8, 2, 2)
-	p := NewTopologyPlacement(topo)
+	p := NewPlacement(topo)
 
 	// Fill DRAM (pages 0-1), spill pages 2-4 into NVM.
 	for pg := uint64(0); pg < 5; pg++ {
@@ -121,7 +117,7 @@ func TestPlacementEndurance(t *testing.T) {
 	}
 
 	// A two-tier placement reports no endurance and RecordWrite is a no-op.
-	p2 := NewPlacement(4, 16)
+	p2 := NewPlacement(core.HBMDDRTopology(4<<12, 16<<12))
 	tier2, frame2, _ := p2.Lookup(0)
 	p2.RecordWrite(tier2, frame2)
 	if p2.Endurance() != nil {
@@ -136,8 +132,8 @@ func TestPlacementEndurance(t *testing.T) {
 func TestPerAccessPathZeroAllocsThreeTier(t *testing.T) {
 	const pages = 256
 	topo := threeTierTopo(1024, 64, 32)
-	p := NewTopologyPlacement(topo)
-	tracker := avf.NewTrackerN(p.NumTiers())
+	p := NewPlacement(topo)
+	tracker := avf.NewTracker(p.NumTiers())
 	iv := newIntervalState()
 	fast := avf.Tier(p.FastTier())
 
@@ -211,9 +207,5 @@ func TestRunCtxThreeTier(t *testing.T) {
 	}
 	if res.Endurance[0].TotalWrites == 0 {
 		t.Fatal("no NVM writes recorded; working set never spilled")
-	}
-	// The HBM-named aliases must follow the fast tier.
-	if res.HBMStats != res.TierStats[2] || res.DDRStats != res.TierStats[0] {
-		t.Fatal("legacy stat aliases do not track the topology")
 	}
 }
