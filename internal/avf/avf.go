@@ -19,7 +19,8 @@
 // The tracker is keyed by dense page indices (core.PageTable interning —
 // passed here as raw uint32 to keep this package import-free) and stores
 // per-page state in flat slices: the per-access path is array indexing, no
-// map operations, and no allocations once the footprint has been seen. Tiers
+// map operations, and no allocations once the footprint has been seen. A
+// tracker can be Reset and reused for another run, keeping that storage. Tiers
 // are dense small integers too — the tracker supports any tier count with
 // per-tier ACE totals in flat [tier][pageIndex] slices, so the N-tier
 // generalization costs the hot path nothing. Page ids reappear only at
@@ -60,17 +61,44 @@ type Tracker struct {
 	pages []pageState // indexed by dense page index
 	// ace accumulates ACE cycles as flat [tier][pageIndex] slices — dense in
 	// the same index space as pages, so charging an interval is two array
-	// indexes regardless of tier count.
+	// indexes regardless of tier count. Each has len(pages) entries.
 	ace      [][]int64
 	observed int // entries with at least one access
+	// hi bounds the touched indices: every page header and ACE total at or
+	// above it is zero, so Reset and Snapshot stop there.
+	hi int
 }
 
 // NewTracker returns an empty tracker over tiers memory tiers.
 func NewTracker(tiers int) *Tracker {
+	checkTiers(tiers)
+	return &Tracker{ace: make([][]int64, tiers)}
+}
+
+func checkTiers(tiers int) {
 	if tiers < 1 || tiers > 256 {
 		panic("avf: tier count out of range")
 	}
-	return &Tracker{ace: make([][]int64, tiers)}
+}
+
+// Reset empties the tracker for a new run over tiers memory tiers, keeping
+// its storage. It clears only the page headers and ACE totals below the
+// high-water mark: a line's lastAccess and lineTier are read only while its
+// touched bit is set, so the stale values left there are unreachable.
+func (t *Tracker) Reset(tiers int) {
+	checkTiers(tiers)
+	for i := range t.pages[:t.hi] {
+		ps := &t.pages[i]
+		ps.touched, ps.reads, ps.writes = 0, 0, 0
+	}
+	for _, ace := range t.ace {
+		clear(ace[:t.hi])
+	}
+	for len(t.ace) < tiers {
+		t.ace = append(t.ace, make([]int64, len(t.pages)))
+	}
+	t.ace = t.ace[:tiers]
+	t.observed, t.hi = 0, 0
 }
 
 // NumTiers returns the tracker's tier count.
@@ -118,8 +146,11 @@ func (t *Tracker) Access(pi uint32, lineInPage int, at int64, write bool, tier T
 		t.ensure(i)
 	}
 	ps := &t.pages[i]
-	if ps.touched == 0 && ps.reads == 0 && ps.writes == 0 {
+	if ps.touched == 0 {
 		t.observed++
+		if i >= t.hi {
+			t.hi = i + 1
+		}
 	}
 	bit := uint64(1) << uint(lineInPage)
 	if ps.touched&bit != 0 {
@@ -184,24 +215,29 @@ func (t *Tracker) Snapshot(totalCycles int64, ids []uint64) []PageAVF {
 	}
 	denom := float64(trace.LinesPerPage) * float64(totalCycles)
 	tiers := len(t.ace)
-	out := make([]PageAVF, 0, t.observed)
+	// Sort the observed dense indices by page id, then build each record in
+	// place, rather than sorting the wider records themselves.
+	order := make([]uint32, 0, t.observed)
+	for i := range t.pages[:t.hi] {
+		if t.pages[i].touched != 0 {
+			order = append(order, uint32(i))
+		}
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(ids[a], ids[b]) })
+	out := make([]PageAVF, len(order))
 	// One backing array for every page's ByTier keeps the snapshot to O(1)
 	// allocations instead of one per page.
-	shares := make([]float64, t.observed*tiers)
-	for i := range t.pages {
+	shares := make([]float64, len(order)*tiers)
+	for k, i := range order {
 		ps := &t.pages[i]
-		if ps.touched == 0 {
-			continue
-		}
-		p := PageAVF{Page: ids[i], Reads: ps.reads, Writes: ps.writes}
+		p := &out[k]
+		*p = PageAVF{Page: ids[i], Reads: ps.reads, Writes: ps.writes}
 		p.ByTier, shares = shares[:tiers:tiers], shares[tiers:]
 		for tier := 0; tier < tiers; tier++ {
 			p.ByTier[tier] = float64(t.ace[tier][i]) / denom
 			p.AVF += p.ByTier[tier]
 		}
-		out = append(out, p)
 	}
-	slices.SortFunc(out, func(a, b PageAVF) int { return cmp.Compare(a.Page, b.Page) })
 	return out
 }
 

@@ -1,6 +1,9 @@
 package memsim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Request is one cache-line access in flight in a memory tier. Callers
 // allocate a Request, Enqueue it, and later obtain its finish time with
@@ -15,12 +18,8 @@ type Request struct {
 	Arrival int64
 
 	finish int64
-	seq    uint64
 	served bool
-	// Geometry is resolved once at Enqueue so the FR-FCFS scan and the
-	// command sequencer never re-divide the line address.
-	ch, bk int32
-	row    int64
+	ch     int32 // channel index, resolved at Enqueue
 }
 
 // Reset prepares a served Request for reuse with new parameters, letting
@@ -83,6 +82,19 @@ type bank struct {
 	lastWriteEnd int64 // for tWTR write-to-read turnaround
 }
 
+// pendingReq is one request in a channel's scheduling window: what the
+// FR-FCFS scan reads, held by value so the scan walks one contiguous array,
+// and the request to stamp once served. Bank and row are resolved at
+// Enqueue, so neither the scan nor the command sequencer re-divides the
+// line address.
+type pendingReq struct {
+	arrival int64
+	row     int64
+	bank    int32
+	write   bool
+	req     *Request
+}
+
 type channel struct {
 	cfg         *Config
 	now         int64 // command scheduling horizon: the channel has made all decisions up to now
@@ -91,7 +103,9 @@ type channel struct {
 	lastAct     int64 // for tRRD across banks
 	nextRefresh int64 // next all-bank refresh deadline (0 = disabled)
 	banks       []bank
-	pending     []*Request
+	// pending is the scheduling window in age order (oldest first): Enqueue
+	// appends and serveOne closes the gap it leaves, so position is age.
+	pending []pendingReq
 }
 
 // ServiceEvent describes one serviced request for timing audits: the DRAM
@@ -117,7 +131,6 @@ type cycTiming struct {
 type Memory struct {
 	cfg      Config
 	channels []*channel
-	seq      uint64
 	stats    Stats
 	audit    func(ServiceEvent)
 
@@ -159,6 +172,7 @@ func New(cfg Config) *Memory {
 			ch.nextRefresh = cfg.Timing.cc(cfg.Timing.TREFI)
 		}
 		ch.banks = make([]bank, cfg.RanksPerChannel*cfg.BanksPerRank)
+		ch.pending = make([]pendingReq, 0, cfg.QueueDepth)
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
 		}
@@ -200,15 +214,13 @@ func (m *Memory) Enqueue(r *Request) {
 	if r.served {
 		panic("memsim: Enqueue of already-served request")
 	}
-	m.seq++
-	r.seq = m.seq
 	chIdx, bk, row, _ := m.geometry(r.Line)
-	r.ch, r.bk, r.row = int32(chIdx), int32(bk), row
+	r.ch = int32(chIdx)
 	ch := m.channels[chIdx]
 	for len(ch.pending) >= m.cfg.QueueDepth {
 		m.serveOne(ch)
 	}
-	ch.pending = append(ch.pending, r)
+	ch.pending = append(ch.pending, pendingReq{arrival: r.Arrival, row: row, bank: int32(bk), write: r.Write, req: r})
 }
 
 // Complete forces resolution of r and returns its finish cycle. Requests on
@@ -240,59 +252,63 @@ func (m *Memory) Drain() int64 {
 	return last
 }
 
-// serveOne picks and retires one request from ch under FR-FCFS. It returns
-// false if the channel has nothing pending.
+// FR-FCFS priority classes, best last. Reads sit on the core's critical
+// path while writes are posted, so any read beats any write; within each,
+// a hit on the bank's open row beats a miss.
+const (
+	prioWrite = iota
+	prioRowHitWrite
+	prioRead
+	prioRowHitRead
+)
+
+// serveOne picks and retires one request from ch under FR-FCFS: the highest
+// priority class among requests that have arrived by the horizon, oldest
+// first within a class. If none has arrived, the channel is idle ahead of
+// all pending work, so the horizon first jumps to the earliest arrival. It
+// returns false if the channel has nothing pending.
+//
+// One pass over the age-ordered window finds both candidates: best, among
+// the arrived, and first, the best of the earliest arrivals (needed only
+// when nothing has arrived). The first arrived row-hit read cannot be
+// beaten, so the pass stops there.
 func (m *Memory) serveOne(ch *channel) bool {
 	if len(ch.pending) == 0 {
 		return false
 	}
-	// Advance the horizon to the earliest arrival if the channel is idle
-	// ahead of all pending work.
-	earliest := ch.pending[0].Arrival
-	for _, r := range ch.pending[1:] {
-		if r.Arrival < earliest {
-			earliest = r.Arrival
-		}
-	}
-	if ch.now < earliest {
-		ch.now = earliest
-	}
-
-	// FR-FCFS with read priority among requests that have arrived by the
-	// horizon: row-hit reads, then other reads, then row-hit writes, then
-	// writes — reads sit on the core's critical path while writes are
-	// posted. Ties break by age. If nothing has arrived yet (can't happen
-	// given the horizon advance above, but guard), fall back to the oldest.
-	best := -1
-	bestPrio := -1
-	var bestSeq uint64
-	for i, r := range ch.pending {
-		if r.Arrival > ch.now {
+	best, bestPrio := -1, -1
+	first, firstPrio := -1, -1
+	earliest := int64(math.MaxInt64)
+	for i := range ch.pending {
+		p := &ch.pending[i]
+		arrived := p.arrival <= ch.now
+		if !arrived && (best >= 0 || p.arrival > earliest) {
 			continue
 		}
-		prio := 0
-		if ch.banks[r.bk].openRow == r.row {
+		prio := prioWrite
+		if !p.write {
+			prio = prioRead
+		}
+		if ch.banks[p.bank].openRow == p.row {
 			prio++
 		}
-		if !r.Write {
-			prio += 2
-		}
-		if prio > bestPrio || (prio == bestPrio && r.seq < bestSeq) {
-			best, bestPrio, bestSeq = i, prio, r.seq
-		}
-	}
-	if best == -1 {
-		best, bestSeq = 0, ch.pending[0].seq
-		for i, r := range ch.pending {
-			if r.seq < bestSeq {
-				best, bestSeq = i, r.seq
+		if arrived {
+			if prio > bestPrio {
+				best, bestPrio = i, prio
+				if prio == prioRowHitRead {
+					break
+				}
 			}
+		} else if p.arrival < earliest || prio > firstPrio {
+			first, firstPrio, earliest = i, prio, p.arrival
 		}
 	}
-	r := ch.pending[best]
-	ch.pending[best] = ch.pending[len(ch.pending)-1]
-	ch.pending = ch.pending[:len(ch.pending)-1]
-	m.service(ch, r)
+	if best < 0 {
+		best = first // service starts it at its arrival, the new horizon
+	}
+	p := ch.pending[best]
+	ch.pending = append(ch.pending[:best], ch.pending[best+1:]...)
+	m.service(ch, p)
 	return true
 }
 
@@ -321,13 +337,15 @@ func (m *Memory) refreshUpTo(ch *channel, at int64) {
 	}
 }
 
-// service runs the DRAM command sequence for r and stamps its finish time.
-func (m *Memory) service(ch *channel, r *Request) {
+// service runs the DRAM command sequence for p and stamps its request's
+// finish time.
+func (m *Memory) service(ch *channel, p pendingReq) {
 	t := &m.ct
-	row := r.row
-	b := &ch.banks[r.bk]
+	r := p.req
+	row := p.row
+	b := &ch.banks[p.bank]
 
-	start := max64(ch.now, r.Arrival)
+	start := max64(ch.now, p.arrival)
 	m.refreshUpTo(ch, start)
 
 	rowHit := false
@@ -394,7 +412,7 @@ func (m *Memory) service(ch *channel, r *Request) {
 
 	if m.audit != nil {
 		m.audit(ServiceEvent{
-			Channel: int(r.ch), Bank: int(r.bk), Row: row, Write: r.Write,
+			Channel: int(r.ch), Bank: int(p.bank), Row: row, Write: r.Write,
 			RowHit: rowHit, CAS: cas, DataStart: dataStart, DataEnd: dataEnd,
 		})
 	}

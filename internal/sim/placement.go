@@ -47,8 +47,13 @@ type Placement struct {
 	tier  []uint8  // valid iff pagePlaced
 	frame []uint64 // valid iff pagePlaced
 
-	// Per-tier state.
-	free     [][]uint64 // free frames, descending so frame 0 is used first
+	// Per-tier frame allocator: frames at or above next have never been
+	// handed out, and freed is a stack of frames migrations gave back.
+	// Taking from freed first, then bumping next, hands frames out in the
+	// order of a free list of every frame that starts descending (frame 0
+	// first) and has returned frames pushed on top, without building it.
+	next     []uint64
+	freed    [][]uint64
 	resident []int
 
 	// Endurance accounting: wear[t] is per-frame write counts, non-nil only
@@ -70,7 +75,8 @@ func NewPlacement(topo *core.Topology) *Placement {
 		capacity:   make([]uint64, n),
 		allocOrder: append([]int(nil), topo.AllocOrder...),
 		fast:       topo.FastTier,
-		free:       make([][]uint64, n),
+		next:       make([]uint64, n),
+		freed:      make([][]uint64, n),
 		resident:   make([]int, n),
 		budget:     make([]uint64, n),
 		wear:       make([][]uint32, n),
@@ -80,13 +86,6 @@ func NewPlacement(topo *core.Topology) *Placement {
 		p.names[t] = td.Name
 		p.capacity[t] = pages
 		p.budget[t] = td.WriteBudget
-		// Free lists hand out frames in descending order so frame 0 is used
-		// first (pop from the tail).
-		fl := make([]uint64, pages)
-		for i := range fl {
-			fl[i] = pages - 1 - uint64(i)
-		}
-		p.free[t] = fl
 		if td.WriteBudget > 0 {
 			p.wear[t] = make([]uint32, pages)
 			p.hasWear = true
@@ -121,7 +120,27 @@ func (p *Placement) TierName(t int) string {
 func (p *Placement) CapacityOf(t int) uint64 { return p.capacity[t] }
 
 // FreeOf returns the number of unallocated frames in tier t.
-func (p *Placement) FreeOf(t int) int { return len(p.free[t]) }
+func (p *Placement) FreeOf(t int) int {
+	return int(p.capacity[t]-p.next[t]) + len(p.freed[t])
+}
+
+// take hands out tier t's next free frame; ok is false when it has none.
+func (p *Placement) take(t int) (frame uint64, ok bool) {
+	if fl := p.freed[t]; len(fl) > 0 {
+		frame = fl[len(fl)-1]
+		p.freed[t] = fl[:len(fl)-1]
+		return frame, true
+	}
+	if p.next[t] < p.capacity[t] {
+		frame = p.next[t]
+		p.next[t]++
+		return frame, true
+	}
+	return 0, false
+}
+
+// give returns frame to tier t; it is the next one take hands out.
+func (p *Placement) give(t int, frame uint64) { p.freed[t] = append(p.freed[t], frame) }
 
 // ResidentOf returns the number of pages resident in tier t.
 func (p *Placement) ResidentOf(t int) int { return p.resident[t] }
@@ -160,12 +179,10 @@ func (p *Placement) Preplace(pages []uint64, pin bool) error {
 		if p.flags[i]&pagePlaced != 0 {
 			return fmt.Errorf("sim: page %d placed twice", page)
 		}
-		fl := p.free[fast]
-		if len(fl) == 0 {
+		frame, ok := p.take(fast)
+		if !ok {
 			return fmt.Errorf("sim: %s capacity %d exceeded during preplacement", p.names[fast], p.capacity[fast])
 		}
-		frame := fl[len(fl)-1]
-		p.free[fast] = fl[:len(fl)-1]
 		p.flags[i] = pagePlaced
 		if pin {
 			p.flags[i] |= pagePinned
@@ -225,10 +242,7 @@ func (p *Placement) LookupIndex(pi core.PageIndex) (avf.Tier, uint64, error) {
 // out of line so the warm lookup above stays small enough to inline.
 func (p *Placement) allocate(i int, f uint8) (avf.Tier, uint64, error) {
 	for _, t := range p.allocOrder {
-		fl := p.free[t]
-		if n := len(fl); n > 0 {
-			frame := fl[n-1]
-			p.free[t] = fl[:n-1]
+		if frame, ok := p.take(t); ok {
 			p.flags[i] = f | pagePlaced
 			p.tier[i] = uint8(t)
 			p.frame[i] = frame
@@ -298,7 +312,7 @@ func (p *Placement) TierPages(t int) []uint64 {
 func (p *Placement) HBMPages() []uint64 { return p.TierPages(p.fast) }
 
 // HBMFreePages returns the number of unallocated fast-tier frames.
-func (p *Placement) HBMFreePages() int { return len(p.free[p.fast]) }
+func (p *Placement) HBMFreePages() int { return p.FreeOf(p.fast) }
 
 // HBMCapacity returns the fast tier's size in pages.
 func (p *Placement) HBMCapacity() uint64 { return p.capacity[p.fast] }
@@ -386,7 +400,7 @@ func (p *Placement) Migrate(in, out []uint64) int {
 		}
 		dst := -1
 		for _, t := range p.allocOrder {
-			if t != fast && len(p.free[t]) > 0 {
+			if t != fast && p.FreeOf(t) > 0 {
 				dst = t
 				break
 			}
@@ -394,10 +408,8 @@ func (p *Placement) Migrate(in, out []uint64) int {
 		if dst < 0 {
 			break
 		}
-		p.free[fast] = append(p.free[fast], p.frame[i])
-		fl := p.free[dst]
-		frame := fl[len(fl)-1]
-		p.free[dst] = fl[:len(fl)-1]
+		p.give(fast, p.frame[i])
+		frame, _ := p.take(dst) // dst was chosen for having a free frame
 		p.tier[i] = uint8(dst)
 		p.frame[i] = frame
 		p.resident[fast]--
@@ -420,14 +432,12 @@ func (p *Placement) Migrate(in, out []uint64) int {
 		if f&pagePlaced == 0 || int(p.tier[i]) == fast || f&pagePinned != 0 {
 			continue
 		}
-		fl := p.free[fast]
-		if len(fl) == 0 {
+		frame, ok := p.take(fast)
+		if !ok {
 			break
 		}
 		src := int(p.tier[i])
-		p.free[src] = append(p.free[src], p.frame[i])
-		frame := fl[len(fl)-1]
-		p.free[fast] = fl[:len(fl)-1]
+		p.give(src, p.frame[i])
 		p.tier[i] = uint8(fast)
 		p.frame[i] = frame
 		p.resident[src]--

@@ -3,10 +3,12 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"hmem/internal/avf"
 	"hmem/internal/core"
 	"hmem/internal/xrand"
 )
@@ -149,5 +151,144 @@ func TestPlacementConservation(t *testing.T) {
 		if got := len(p.HBMPages()) + p.HBMFreePages(); got != 16 {
 			t.Fatalf("step %d: HBM frames leaked: %d", step, got)
 		}
+	}
+}
+
+// refFrames is the reference frame allocator: every tier's free list built
+// in full at construction, descending so frame 0 is handed out first, with
+// frames given back pushed on top. Placement must hand out frames in
+// exactly its order without building the lists.
+type refFrames struct {
+	free  [][]uint64
+	where map[uint64][2]uint64 // page -> (tier, frame)
+}
+
+func newRefFrames(topo *core.Topology) *refFrames {
+	r := &refFrames{where: map[uint64][2]uint64{}}
+	for _, td := range topo.Tiers {
+		n := td.Mem.Pages()
+		fl := make([]uint64, n)
+		for i := range fl {
+			fl[i] = n - 1 - uint64(i)
+		}
+		r.free = append(r.free, fl)
+	}
+	return r
+}
+
+func (r *refFrames) take(t int) uint64 {
+	fl := r.free[t]
+	frame := fl[len(fl)-1]
+	r.free[t] = fl[:len(fl)-1]
+	return frame
+}
+
+// follow replays a move Placement made: page's old frame goes back to its
+// tier's list, and the reference takes the destination tier's next frame.
+func (r *refFrames) follow(page uint64, tier int) {
+	if old, ok := r.where[page]; ok {
+		r.free[old[0]] = append(r.free[old[0]], old[1])
+	}
+	r.where[page] = [2]uint64{uint64(tier), r.take(tier)}
+}
+
+// TestPlacementFrameOrderMatchesFreeList drives Placement through random
+// preplacement, first-touch and migration sequences, spilling across tiers,
+// and checks after every step that each page holds the frame the reference
+// free lists would have given it and that free counts agree.
+func TestPlacementFrameOrderMatchesFreeList(t *testing.T) {
+	for seed := uint64(1); seed <= 30; seed++ {
+		topo := threeTierTopo(24, 12, 6)
+		if seed%2 == 0 {
+			topo = core.HBMDDRTopology(8<<12, 40<<12)
+		}
+		p, ref := NewPlacement(topo), newRefFrames(topo)
+		rng := xrand.New(seed)
+		const pages = 40
+		check := func(step int) {
+			t.Helper()
+			for pg := uint64(0); pg < pages; pg++ {
+				pi, ok := p.pt.Find(pg)
+				if !ok || !placed(p, pg) {
+					if _, had := ref.where[pg]; had {
+						t.Fatalf("seed %d step %d: page %d unplaced, reference placed it", seed, step, pg)
+					}
+					continue
+				}
+				tier, frame := uint64(p.tier[pi]), p.frame[pi]
+				if want := ref.where[pg]; want != [2]uint64{tier, frame} {
+					t.Fatalf("seed %d step %d: page %d at tier %d frame %d, reference %v", seed, step, pg, tier, frame, want)
+				}
+			}
+			for tier := range ref.free {
+				if p.FreeOf(tier) != len(ref.free[tier]) {
+					t.Fatalf("seed %d step %d: tier %d has %d free, reference %d", seed, step, tier, p.FreeOf(tier), len(ref.free[tier]))
+				}
+			}
+		}
+		pre := []uint64{100, 101, 102}
+		if err := p.Preplace(pre, seed%3 == 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, pg := range pre {
+			ref.follow(pg, topo.FastTier)
+		}
+		for step := 0; step < 300; step++ {
+			before := map[uint64]avf.Tier{}
+			for pg := uint64(0); pg < pages; pg++ {
+				if pi, ok := p.pt.Find(pg); ok && placed(p, pg) {
+					before[pg] = avf.Tier(p.tier[pi])
+				}
+			}
+			var in, out []uint64
+			if rng.Bool(0.6) {
+				pg := rng.Uint64n(pages)
+				if _, _, err := p.Lookup(pg); err == nil {
+					if _, had := before[pg]; !had {
+						tier, _ := p.TierOfIndex(p.Intern(pg))
+						ref.follow(pg, int(tier))
+					}
+				}
+			} else {
+				// In-pages and out-pages are disjoint, so each page moves at
+				// most once and its move shows in its final tier.
+				for n := rng.Intn(4); n > 0; n-- {
+					out = append(out, rng.Uint64n(pages))
+				}
+				for n := rng.Intn(4); n > 0; n-- {
+					if pg := rng.Uint64n(pages); !slices.Contains(out, pg) {
+						in = append(in, pg)
+					}
+				}
+				p.Migrate(in, out)
+				// Placement moves out-pages first, then in-pages, each in
+				// list order; replay the moves it made in that order.
+				for _, group := range [][]uint64{out, in} {
+					for _, pg := range group {
+						tier, ok := p.TierOfIndex(p.Intern(pg))
+						if was, had := before[pg]; ok && had && was != tier {
+							ref.follow(pg, int(tier))
+							before[pg] = tier
+						}
+					}
+				}
+			}
+			check(step)
+		}
+	}
+}
+
+// TestNewPlacementAllocationIndependentOfCapacity checks that building a
+// placement over the paper's full-size machine (16 GiB of DDR, four million
+// frames) costs a few kilobytes, not a free list of every frame.
+func TestNewPlacementAllocationIndependentOfCapacity(t *testing.T) {
+	topo := core.DefaultTopology(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := NewPlacement(topo)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("NewPlacement over %d frames allocated %d bytes; want under 64 KiB", topo.TotalPages(), got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"hmem/internal/avf"
 	"hmem/internal/core"
@@ -188,9 +189,13 @@ type coreState struct {
 // getRequest returns a recycled Request when one is available, reclaiming
 // any posted writes the memory controller has since retired.
 func (c *coreState) getRequest(line uint64, write bool, arrival int64) *memsim.Request {
-	for len(c.writeRing) > 0 && c.writeRing[0].Finished() {
-		c.reqFree = append(c.reqFree, c.writeRing[0])
-		c.writeRing = c.writeRing[1:]
+	done := 0
+	for done < len(c.writeRing) && c.writeRing[done].Finished() {
+		done++
+	}
+	if done > 0 {
+		c.reqFree = append(c.reqFree, c.writeRing[:done]...)
+		c.writeRing = popFront(c.writeRing, done)
 	}
 	if n := len(c.reqFree); n > 0 {
 		r := c.reqFree[n-1]
@@ -199,6 +204,28 @@ func (c *coreState) getRequest(line uint64, write bool, arrival int64) *memsim.R
 		return r
 	}
 	return &memsim.Request{Line: line, Write: write, Arrival: arrival}
+}
+
+// popFront drops the first n elements of s in place. Re-slicing off the
+// front instead would shrink the capacity left for append, so a window
+// that is pushed and popped forever would keep reallocating.
+func popFront[T any](s []T, n int) []T {
+	return s[:copy(s, s[n:])]
+}
+
+// trackerPool recycles AVF trackers across runs. A tracker never outlives
+// RunCtx (Snapshot copies its results out), and a fresh one would re-grow
+// and re-zero ~600 B of line state per page on every run.
+var trackerPool sync.Pool
+
+// getTracker returns an empty tracker over tiers tiers, reusing a pooled
+// one when there is one.
+func getTracker(tiers int) *avf.Tracker {
+	if t, ok := trackerPool.Get().(*avf.Tracker); ok {
+		t.Reset(tiers)
+		return t
+	}
+	return avf.NewTracker(tiers)
 }
 
 // Run simulates streams (one per core) against the configured HMA.
@@ -274,7 +301,8 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		return Result{}, err
 	}
 	pt := placement.PageTable()
-	tracker := avf.NewTracker(len(tiers))
+	tracker := getTracker(len(tiers))
+	defer trackerPool.Put(tracker)
 
 	cores := make([]*coreState, len(streams))
 	for i, s := range streams {
@@ -388,8 +416,8 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 			if len(c.outstanding) > cfg.MaxOutstanding {
 				oldest := c.outstanding[0]
 				oldTier := c.outTier[0]
-				c.outstanding = c.outstanding[1:]
-				c.outTier = c.outTier[1:]
+				c.outstanding = popFront(c.outstanding, 1)
+				c.outTier = popFront(c.outTier, 1)
 				if fin := mems[oldTier].Complete(oldest); fin > c.time {
 					c.time = fin
 				}
