@@ -1,101 +1,11 @@
 package hmem
 
-// The bench harness regenerates every table and figure of the paper's
-// evaluation (DESIGN.md §4 maps each to its experiment driver). Benchmarks
-// share one memoized runner, so the first benchmark that needs a given
-// simulation pays for it and the rest reuse it; -benchtime=1x gives one
-// full, clean regeneration pass. Tables print through b.Log so
-//
-//	go test -bench=. -benchmem
-//
-// emits the same rows/series the paper reports.
-
 import (
 	"context"
-	"fmt"
-	"os"
-	"sync"
 	"testing"
 
 	"hmem/internal/experiments"
-	"hmem/internal/report"
 )
-
-var (
-	benchOnce   sync.Once
-	benchRunner *experiments.Runner
-	benchErr    error
-)
-
-// benchSharedRunner returns the suite-wide memoized runner.
-func benchSharedRunner(b *testing.B) *experiments.Runner {
-	b.Helper()
-	benchOnce.Do(func() {
-		opts := experiments.DefaultOptions()
-		// Benches run every experiment; a reduced record count keeps the
-		// full-suite wall time in minutes while preserving the shapes.
-		opts.RecordsPerCore = 20000
-		benchRunner, benchErr = experiments.NewRunner(opts)
-	})
-	if benchErr != nil {
-		b.Fatal(benchErr)
-	}
-	return benchRunner
-}
-
-// runExperiment executes one named experiment b.N times (memoized after the
-// first) and logs the resulting table once.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	r := benchSharedRunner(b)
-	exp, ok := r.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	var table *report.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		table, err = exp.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Print to stdout rather than b.Log: the testing package truncates
-	// long benchmark logs, and these tables are the deliverable.
-	fmt.Fprintf(os.Stdout, "\n%s\n", table)
-}
-
-func BenchmarkFigure1(b *testing.B)  { runExperiment(b, "figure1") }
-func BenchmarkFigure2(b *testing.B)  { runExperiment(b, "figure2") }
-func BenchmarkFigure4(b *testing.B)  { runExperiment(b, "figure4") }
-func BenchmarkFigure5(b *testing.B)  { runExperiment(b, "figure5") }
-func BenchmarkFigure6(b *testing.B)  { runExperiment(b, "figure6") }
-func BenchmarkFigure7(b *testing.B)  { runExperiment(b, "figure7") }
-func BenchmarkFigure8(b *testing.B)  { runExperiment(b, "figure8") }
-func BenchmarkFigure9(b *testing.B)  { runExperiment(b, "figure9") }
-func BenchmarkFigure10(b *testing.B) { runExperiment(b, "figure10") }
-func BenchmarkFigure11(b *testing.B) { runExperiment(b, "figure11") }
-func BenchmarkFigure12(b *testing.B) { runExperiment(b, "figure12") }
-func BenchmarkFigure13(b *testing.B) { runExperiment(b, "figure13") }
-func BenchmarkFigure14(b *testing.B) { runExperiment(b, "figure14") }
-func BenchmarkFigure15(b *testing.B) { runExperiment(b, "figure15") }
-func BenchmarkFigure16(b *testing.B) { runExperiment(b, "figure16") }
-func BenchmarkFigure17(b *testing.B) { runExperiment(b, "figure17") }
-func BenchmarkTable1(b *testing.B)   { runExperiment(b, "table1") }
-func BenchmarkTable2(b *testing.B)   { runExperiment(b, "table2") }
-func BenchmarkTable3(b *testing.B)   { runExperiment(b, "table3") }
-func BenchmarkHWCost(b *testing.B)   { runExperiment(b, "hwcost") }
-
-// BenchmarkAblationCC quantifies the reproduction's own Cross Counter design
-// choices (blacklist, hysteresis, MEA size) — not a paper figure, but the
-// ablation DESIGN.md commits to.
-func BenchmarkAblationCC(b *testing.B) { runExperiment(b, "ablation-cc") }
-
-// BenchmarkExtensionAnnotatedMigration evaluates the paper's §7 closing
-// conjecture: annotation pinning combined with reliability-aware migration.
-func BenchmarkExtensionAnnotatedMigration(b *testing.B) {
-	runExperiment(b, "extension-annotated-migration")
-}
 
 // benchSuite runs a four-workload Figure 5 sweep on a FRESH runner each
 // iteration (nothing memoized across iterations) at the given worker count.

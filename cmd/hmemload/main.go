@@ -12,10 +12,9 @@
 // Usage:
 //
 //	hmemload -addr http://127.0.0.1:8080 -profile mixed -duration 30s \
-//	    -rps 50 -slo examples/slo/smoke.json -bench-out BENCH_service.json
+//	    -rps 50 -slo examples/slo/smoke.json
 //
-// Exit codes: 0 on success, 1 when the SLO or the service-bench gate fails,
-// 2 on usage errors.
+// Exit codes: 0 on success, 1 when the SLO fails, 2 on usage errors.
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"hmem/internal/bench"
 	"hmem/internal/chaos"
 	"hmem/internal/load"
 	"hmem/internal/obs"
@@ -61,10 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		degraded   = fs.Bool("degraded", false, "hold the run to the SLO's degraded budget even without -chaos (for server-side fault injection)")
 		saveCtx    = fs.String("save-context", "", "write the cumulative execution context here after the run")
 		loadCtx    = fs.String("load-context", "", "resume from this execution context (its cursor continues the schedule)")
-		benchOut   = fs.String("bench-out", "", "write the run as a service benchmark (bench.ServiceFile JSON)")
-		benchCmp   = fs.String("bench-compare", "", "gate the run against this BENCH_service.json baseline")
 		metricsOut = fs.String("metrics-out", "", "write the hmemload_* metric families (Prometheus text) here")
-		note       = fs.String("note", "", "note recorded in -bench-out")
 		verbose    = fs.Bool("v", false, "also print the summary as JSON")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -179,51 +174,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if *benchOut != "" {
-		if err := sum.ServiceFile(*note).WriteFile(*benchOut); err != nil {
-			fmt.Fprintf(stderr, "hmemload: %v\n", err)
-			return 2
-		}
-	}
-
-	failed := false
-	if *benchCmp != "" {
-		baseline, err := bench.ReadServiceFile(*benchCmp)
-		if err != nil {
-			fmt.Fprintf(stderr, "hmemload: %v\n", err)
-			return 2
-		}
-		regs, missing := bench.CompareService(baseline, sum.ServiceFile(""), bench.DefaultServiceGate)
-		for _, m := range missing {
-			fmt.Fprintf(stdout, "bench: skipped %s\n", m)
-		}
-		if len(regs) > 0 {
-			failed = true
-			fmt.Fprintf(stderr, "SERVICE BENCH GATE FAILED (%d regressions vs %s):\n", len(regs), *benchCmp)
-			for _, r := range regs {
-				fmt.Fprintf(stderr, "  %s\n", r)
-			}
-		} else {
-			fmt.Fprintf(stdout, "service bench gate passed vs %s\n", *benchCmp)
-		}
-	}
 	if spec != nil {
 		budget := spec.Pick(*chaosPath != "" || *degraded)
 		if budget != spec {
 			fmt.Fprintln(stdout, "chaos active: holding the run to the degraded SLO budget")
 		}
 		if violations := budget.Evaluate(sum); len(violations) > 0 {
-			failed = true
 			fmt.Fprintf(stderr, "SLO FAILED (%d violations vs %s):\n", len(violations), *sloPath)
 			for _, v := range violations {
 				fmt.Fprintf(stderr, "  %s\n", v)
 			}
-		} else {
-			fmt.Fprintf(stdout, "SLO passed vs %s\n", *sloPath)
+			return 1
 		}
-	}
-	if failed {
-		return 1
+		fmt.Fprintf(stdout, "SLO passed vs %s\n", *sloPath)
 	}
 	return 0
 }

@@ -96,20 +96,24 @@ func TestMapFailureSkipsProgress(t *testing.T) {
 	}
 }
 
-// TestForEachUntracedIsUninstrumented pins the disabled path: no tracer and
-// no sink in ctx means no spans and no reports, with the loop body running
-// exactly as before.
-func TestForEachUntracedIsUninstrumented(t *testing.T) {
+// TestMapUntracedIsUninstrumented pins the disabled path: no tracer and
+// no sink in ctx means no fan-out observer, with every task running exactly
+// as before.
+func TestMapUntracedIsUninstrumented(t *testing.T) {
+	if f := newFanout(context.Background(), 8); f != nil {
+		t.Fatal("a bare context built a fan-out observer")
+	}
 	var ran [8]bool
-	if err := ForEach(context.Background(), 4, 8, func(i int) error {
+	out, err := Map(context.Background(), 4, 8, func(i int) (int, error) {
 		ran[i] = true
-		return nil
-	}); err != nil {
+		return i, nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, ok := range ran {
-		if !ok {
-			t.Fatalf("task %d never ran", i)
+		if !ok || out[i] != i {
+			t.Fatalf("task %d: ran=%v out=%d", i, ok, out[i])
 		}
 	}
 }

@@ -24,18 +24,19 @@ func (r *Runner) annotationRun(ctx context.Context, spec workload.Spec) (sim.Res
 	ann, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages()))
 
 	res, err := r.runs.DoCtx(ctx, "annotation/"+spec.Name, func() (sim.Result, error) {
+		runCtx := obs.Detach(ctx)
 		// Delegable: a worker re-derives the same pins from its own
 		// (bit-identical) profile, so only the result crosses the wire.
-		if p, ok, err := r.delegateBlock(obs.Detach(ctx), BlockKey{Kind: BlockAnnotation, Workload: spec.Name}); err != nil {
+		if p, ok, err := r.delegateBlock(runCtx, BlockKey{Kind: BlockAnnotation, Workload: spec.Name}); err != nil {
 			return sim.Result{}, err
 		} else if ok {
 			return p.Result, nil
 		}
-		suite, err := r.buildSuite(spec)
+		suite, err := r.buildSuiteCtx(runCtx, spec)
 		if err != nil {
 			return sim.Result{}, err
 		}
-		return sim.Run(r.cfg, suite.streams, pins, true, nil)
+		return sim.RunCtx(runCtx, r.cfg, suite.streams, pins, true, nil)
 	})
 	if err != nil {
 		return sim.Result{}, nil, err

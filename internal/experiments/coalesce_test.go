@@ -68,7 +68,7 @@ func TestTracePlanCoalesces(t *testing.T) {
 	release() // idempotent
 
 	// After release the plan is gone: the next simulation regenerates.
-	if _, err := coalesced.buildSuite(spec); err != nil {
+	if _, err := coalesced.buildSuiteCtx(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	if st := coalesced.TraceStats(); st.Opens != 2 {
@@ -110,7 +110,7 @@ func TestTracePlanNestedAcquire(t *testing.T) {
 	if shared == nil {
 		t.Fatal("no plan registered after two acquires")
 	}
-	if _, err := r.buildSuite(spec); err != nil {
+	if _, err := r.buildSuiteCtx(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.TraceStats(); st.Opens != 1 {
@@ -120,7 +120,7 @@ func TestTracePlanNestedAcquire(t *testing.T) {
 	if r.heldPlan("mcf") != shared {
 		t.Fatal("plan retired while still held by the second acquirer")
 	}
-	if _, err := r.buildSuite(spec); err != nil {
+	if _, err := r.buildSuiteCtx(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.TraceStats(); st.Opens != 1 || st.CoalesceHits != 2 {
@@ -232,7 +232,7 @@ func TestTracePlanConcurrentFirstConsumers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := r.buildSuite(spec)
+			v, err := r.buildSuiteCtx(context.Background(), spec)
 			if err != nil {
 				t.Error(err)
 				return
@@ -251,7 +251,7 @@ func TestTracePlanConcurrentFirstConsumers(t *testing.T) {
 	if st := r.TraceStats(); st.Opens != 1 || st.CoalesceHits != consumers {
 		t.Fatalf("trace stats = %+v, want 1 open and %d coalesce hits", st, consumers)
 	}
-	fresh, err := mustRunner(t, tinyCoalesceOpts()).buildSuite(spec)
+	fresh, err := mustRunner(t, tinyCoalesceOpts()).buildSuiteCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

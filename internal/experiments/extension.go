@@ -6,6 +6,7 @@ import (
 	"hmem/internal/annotate"
 	"hmem/internal/core"
 	"hmem/internal/migration"
+	"hmem/internal/obs"
 	"hmem/internal/report"
 	"hmem/internal/sim"
 	"hmem/internal/stats"
@@ -102,20 +103,22 @@ func (r *Runner) ExtensionAnnotatedMigration(ctx context.Context) (*report.Table
 // mechanism manage the remaining HBM frames.
 func (r *Runner) annotatedMigrationRun(ctx context.Context, spec workload.Spec) (sim.Result, error) {
 	return r.runs.DoCtx(ctx, "annotation+fc/"+spec.Name, func() (sim.Result, error) {
-		// Background, not ctx: the computation is shared once started and a
-		// cached ctx.Err() would poison the key (see Memo.DoCtx).
-		prof, err := r.ProfileOf(context.Background(), spec)
+		// Detached: the computation is shared once started, so it keeps the
+		// first requester's observability but not its cancellation (a cached
+		// ctx.Err() would poison the key; see Memo.DoCtx).
+		runCtx := obs.Detach(ctx)
+		prof, err := r.ProfileOf(runCtx, spec)
 		if err != nil {
 			return sim.Result{}, err
 		}
 		// Pin annotations into at most half of HBM so the migration mechanism
 		// has frames to work with.
 		_, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages())/2)
-		suite, err := r.buildSuite(spec)
+		suite, err := r.buildSuiteCtx(runCtx, spec)
 		if err != nil {
 			return sim.Result{}, err
 		}
-		return sim.Run(r.cfg, suite.streams, pins, true,
+		return sim.RunCtx(runCtx, r.cfg, suite.streams, pins, true,
 			migration.NewFullCounter(r.opts.FCIntervalCycles))
 	})
 }

@@ -275,15 +275,10 @@ func (r *Runner) CacheStats() exec.MemoStats {
 	return r.fits.Stats().Add(r.profiles.Stats()).Add(r.runs.Stats())
 }
 
-// buildSuite constructs the trace view a simulation consumes: fresh
+// buildSuiteCtx constructs the trace view a simulation consumes: fresh
 // generators normally (streams are consumed, so every simulation needs its
 // own), or zero-copy replay views when a plan for the workload is held
-// (see coalesce.go).
-func (r *Runner) buildSuite(spec workload.Spec) (*suiteView, error) {
-	return r.buildSuiteCtx(context.Background(), spec)
-}
-
-// buildSuiteCtx is buildSuite recorded as a "trace.build" span — the trace
+// (see coalesce.go). It is recorded as a "trace.build" span — the trace
 // decode/generation seam.
 func (r *Runner) buildSuiteCtx(ctx context.Context, spec workload.Spec) (*suiteView, error) {
 	// Gated on Enabled so the attribute slice is never built untraced.
